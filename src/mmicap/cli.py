@@ -4,6 +4,10 @@ Subcommands: ``mmi`` (single capacity value), ``curve`` (capacity over a
 budget grid, with curve presets), ``breakpoints`` (regime boundaries) and
 ``verify`` (the numerical/Monte-Carlo verification suite).
 
+A run is one document shaped like the ``--config`` file: flags become
+fragments of it, ``--figure1`` is a constant one, and one set of typed
+builders checks the merged document whatever each value came from.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 Floats are quantized to 9 significant digits at the output boundary in both
 CSV and JSON, so the two formats carry bit-identical values.
@@ -19,28 +23,29 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, MmicapError
-from .mmi import (
-    ArchitectureSpec,
-    Convolutional,
-    FullyConnected,
-    MultiLayer,
-    evaluate,
-    mmi_curve,
-)
-from .spectrum import (
-    BlockCovariance,
-    CovarianceMatrix,
-    Spectrum,
-    eigvals_from_covariance,
-    load_covariance_csv,
-    load_spectrum_json,
-    model_spectrum,
-)
+from .mmi import (ACTIVATIONS, ArchitectureSpec, Convolutional, FullyConnected,
+                  MultiLayer, evaluate, mmi_curve)
+from .spectrum import (BlockCovariance, CovarianceMatrix, eigvals_from_covariance,
+                       load_covariance_csv, model_spectrum)
 from .verify import run_verification
-from .waterfill import breakpoints
 
-FIGURE_PRESET_POINTS = 400
-FIGURE_PRESET_BUDGET_MAX = 500.0
+DEFAULTS = {"sigma2": 1.0, "units": "nats", "out": "json", "seed": 0}
+
+#: ``--figure1`` presets: N0 = 100, N1 = 50, sigma2 = 1, 400 budgets on [0, 500].
+FIGURE1 = {
+    side: {"architecture": {"family": "fc", "n0": 100, "n1": 50},
+           "spectrum": spectrum, "sigma2": 1.0, "F_grid": [0.0, 500.0, 400]}
+    for side, spectrum in (("left", {"kind": "exp_decay", "rate": 0.1}),
+                           ("right", {"kind": "harmonic"}))
+}
+
+#: Dimension fields of the fc and conv architecture entries, in ``--arch`` order.
+ARCH_DIMS = {"fc": ("n0", "n1"), "conv": ("n0", "block", "filters")}
+
+SPECTRUM_KINDS = ("exp_decay", "harmonic", "explicit")
+UNITS = ("nats", "bits")
+OUTS = ("csv", "json")
+_WANTED = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
 def _quantize(value):
@@ -58,242 +63,227 @@ def _quantize(value):
     return value
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.9g}"
+def _check(value, name: str, kind, required: bool = True):
+    """One run setting checked against ``kind``: float (a finite number), int,
+    str, dict, list, a tuple of allowed values, or ``[float]``/``[int]`` for a
+    list of those.  None is an error unless ``required`` is false."""
+    if value is None:
+        if required:
+            raise ConfigError(f"{name} is required")
+        return None
+    if isinstance(kind, list):
+        return [_check(item, name, kind[0]) for item in _check(value, name, list)]
+    if isinstance(kind, tuple):
+        ok, wanted = value in kind, "one of " + ", ".join(kind)
+    elif kind is float:
+        # Compared, not converted: an integer too large for a float is rejected.
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        wanted = "a finite number"
+    else:
+        ok, wanted = isinstance(value, kind), _WANTED[kind]
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
-
-
-def parse_arch(text: str) -> ArchitectureSpec:
-    """fc:N0,N1 | conv:N0,NB,Nf | mlp:w1,w2,..."""
+def _arch_doc(text: str) -> dict:
+    """--arch fc:N0,N1 | conv:N0,NB,Nf | mlp:w1,w2,... as an architecture entry."""
     kind, _, rest = text.partition(":")
-    dims = _parse_ints(rest, "--arch")
-    if kind == "fc":
-        if len(dims) != 2:
-            raise ConfigError(f"--arch fc expects N0,N1, got {rest!r}")
-        return ArchitectureSpec(FullyConnected(*dims))
-    if kind == "conv":
-        if len(dims) != 3:
-            raise ConfigError(f"--arch conv expects N0,NB,Nf, got {rest!r}")
-        return ArchitectureSpec(Convolutional(*dims))
+    try:
+        dims = [int(tok) for tok in rest.split(",") if tok != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--arch: expected comma-separated integers, got {rest!r}") from exc
     if kind == "mlp":
-        if not dims:
-            raise ConfigError(f"--arch mlp expects w1,w2,..., got {rest!r}")
-        return ArchitectureSpec(MultiLayer(tuple(dims)))
-    raise ConfigError(f"--arch: unknown family {kind!r} (use fc:, conv: or mlp:)")
+        return {"family": "mlp", "widths": dims}
+    if kind not in ARCH_DIMS:
+        raise ConfigError(f"--arch: unknown family {kind!r} (use fc:, conv: or mlp:)")
+    names = ARCH_DIMS[kind]
+    if len(dims) != len(names):
+        raise ConfigError(f"--arch {kind} expects {len(names)} dimensions, got {rest!r}")
+    return {"family": kind, **dict(zip(names, dims))}
 
 
-def _spectrum_dim(arch: ArchitectureSpec) -> int:
-    """Length the spectrum source must have for a model-generated spectrum."""
-    family = arch.family
-    if isinstance(family, FullyConnected):
-        return family.input_dim
-    if isinstance(family, Convolutional):
-        return family.block_size
+def _spectrum_doc(text: str) -> dict:
+    """--spectrum exp:RATE | harmonic | list:v1,v2,... | file:PATH as a spectrum
+    entry; a ``.json`` file holds the entry itself, any other is a covariance CSV."""
+    kind, _, rest = text.partition(":")
+    if kind == "file":
+        if rest.endswith(".json"):
+            return _load_json(rest, "--spectrum")
+        return {"covariance_csv": rest}
+    if kind == "harmonic":
+        return {"kind": "harmonic"}
+    try:
+        if kind == "exp":
+            return {"kind": "exp_decay", "rate": float(rest)}
+        if kind == "list":
+            return {"kind": "explicit",
+                    "values": [float(tok) for tok in rest.split(",") if tok != ""]}
+    except ValueError as exc:
+        raise ConfigError(f"--spectrum {kind}: expects numbers, got {rest!r}") from exc
     raise ConfigError(
-        "--spectrum: model spectra need an explicit dimension for mlp "
-        "architectures; use list:, file: or a config-file spectrum with 'n'"
+        f"--spectrum: unknown source {kind!r} (use exp:, harmonic, file: or list:)"
     )
 
 
-def parse_spectrum(text: str, arch: ArchitectureSpec):
-    """exp:rate | harmonic | file:PATH | list:v1,v2,... -> Spectrum source."""
-    kind, _, rest = text.partition(":")
-    if kind == "exp":
-        try:
-            rate = float(rest)
-        except ValueError as exc:
-            raise ConfigError(f"--spectrum exp: expects a rate, got {rest!r}") from exc
-        spectrum = model_spectrum("exp_decay", _spectrum_dim(arch), rate=rate)
-    elif kind == "harmonic":
-        spectrum = model_spectrum("harmonic", _spectrum_dim(arch))
-    elif kind == "file":
-        if rest.endswith(".json"):
-            spectrum = load_spectrum_json(rest)
-        else:
-            cov = load_covariance_csv(rest)
-            if isinstance(arch.family, Convolutional):
-                return _as_block(cov, arch)
-            spectrum = eigvals_from_covariance(cov)
-    elif kind == "list":
-        try:
-            values = [float(tok) for tok in rest.split(",") if tok != ""]
-        except ValueError as exc:
-            raise ConfigError(f"--spectrum list: expects numbers, got {rest!r}") from exc
-        spectrum = model_spectrum("explicit", values=values)
-    else:
-        raise ConfigError(
-            f"--spectrum: unknown source {kind!r} (use exp:, harmonic, file: or list:)"
-        )
-    if isinstance(arch.family, Convolutional):
-        block = CovarianceMatrix(np.diag(spectrum.values))
-        return _as_block(block, arch)
-    return spectrum
-
-
-def _as_block(cov: CovarianceMatrix, arch: ArchitectureSpec) -> BlockCovariance:
-    family = arch.family
-    if cov.dim != family.block_size:
-        raise ConfigError(
-            f"--spectrum: conv block source must be {family.block_size}-dimensional, "
-            f"got {cov.dim}"
-        )
-    return BlockCovariance(cov, family.repetitions)
-
-
-def parse_grid(text: str) -> np.ndarray:
-    """lo:hi:n ascending budget grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--F-grid expects lo:hi:n, got {text!r}")
+def _grid_doc(text: str) -> list:
+    """--F-grid lo:hi:n as an F_grid entry."""
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = text.split(":")
+        return [float(lo), float(hi), int(count)]
     except ValueError as exc:
         raise ConfigError(f"--F-grid expects lo:hi:n, got {text!r}") from exc
-    if count < 1 or hi < lo or lo < 0:
-        raise ConfigError(f"--F-grid needs 0 <= lo <= hi and n >= 1, got {text!r}")
-    return np.linspace(lo, hi, count)
 
 
-def _load_config(path) -> dict:
+def _flag_doc(args: argparse.Namespace) -> dict:
+    """The flags of one command line as a fragment shaped like the config file."""
+    doc = {key: getattr(args, key, None) for key in ("sigma2", "units", "out", "seed", "F")}
+    for key, flag, to_doc in (("architecture", "arch", _arch_doc),
+                              ("spectrum", "spectrum", _spectrum_doc),
+                              ("F_grid", "F_grid", _grid_doc)):
+        text = getattr(args, flag, None)
+        doc[key] = None if text is None else to_doc(text)
+    return doc
+
+
+def _load_json(path: str, flag: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"--config {path}: {exc}") from exc
+        raise ConfigError(f"{flag} {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"--config {path}: document must be a JSON object")
+        raise ConfigError(f"{flag} {path}: document must be a JSON object")
     return doc
 
 
-def _config_arch(doc: dict) -> ArchitectureSpec:
-    family = doc.get("family")
-    activation = doc.get("activation", "linear")
-    if family == "fc":
-        return ArchitectureSpec(FullyConnected(doc["n0"], doc["n1"]), activation)
-    if family == "conv":
-        return ArchitectureSpec(
-            Convolutional(doc["n0"], doc["block"], doc["filters"]), activation)
+def _run_doc(args: argparse.Namespace) -> dict:
+    """Preset over flags over config file over defaults, by top-level key;
+    an absent (or null) entry leaves the lower layer's value."""
+    doc = dict(DEFAULTS)
+    config = _load_json(args.config, "--config") if args.config else {}
+    for layer in (config, _flag_doc(args), FIGURE1.get(getattr(args, "figure1", None), {})):
+        doc.update((key, value) for key, value in layer.items() if value is not None)
+    return doc
+
+
+def _build_arch(doc) -> ArchitectureSpec:
+    doc = _check(doc, "architecture (--arch)", dict)
+    family = _check(doc.get("family"), "architecture.family", ("fc", "conv", "mlp"))
+    activation = _check(doc.get("activation", "linear"), "architecture.activation",
+                        ACTIVATIONS)
     if family == "mlp":
-        return ArchitectureSpec(MultiLayer(tuple(doc["widths"])), activation)
-    raise ConfigError(f"config architecture.family must be fc, conv or mlp, got {family!r}")
+        widths = _check(doc.get("widths"), "architecture.widths", [int])
+        return ArchitectureSpec(MultiLayer(tuple(widths)), activation)
+    dims = [_check(doc.get(key), f"architecture.{key}", int) for key in ARCH_DIMS[family]]
+    kind = FullyConnected if family == "fc" else Convolutional
+    return ArchitectureSpec(kind(*dims), activation)
 
 
-def _config_spectrum(doc: dict, arch: ArchitectureSpec):
+def _build_source(doc, arch: ArchitectureSpec):
+    """A Spectrum for fc and mlp architectures, a BlockCovariance for conv."""
+    doc = _check(doc, "spectrum (--spectrum)", dict)
+    family = arch.family
+    conv = isinstance(family, Convolutional)
     if "covariance_csv" in doc:
-        cov = load_covariance_csv(doc["covariance_csv"])
-        if isinstance(arch.family, Convolutional):
-            return _as_block(cov, arch)
-        return eigvals_from_covariance(cov)
-    spectrum = model_spectrum(doc.get("kind", ""), doc.get("n"),
-                              rate=doc.get("rate"), values=doc.get("values"))
-    if isinstance(arch.family, Convolutional):
-        return _as_block(CovarianceMatrix(np.diag(spectrum.values)), arch)
-    return spectrum
+        cov = load_covariance_csv(_check(doc["covariance_csv"], "spectrum.covariance_csv", str))
+        if not conv:
+            return eigvals_from_covariance(cov)
+    else:
+        kind = _check(doc.get("kind"), "spectrum.kind", SPECTRUM_KINDS)
+        n = _check(doc.get("n"), "spectrum.n", int, required=False)
+        if n is None and kind != "explicit":
+            if isinstance(family, MultiLayer):
+                raise ConfigError("spectrum: model spectra need a length 'n' under an mlp "
+                                  "architecture; use list:, file: or a config entry with 'n'")
+            n = family.block_size if conv else family.input_dim
+        spectrum = model_spectrum(
+            kind, n, rate=_check(doc.get("rate"), "spectrum.rate", float, required=False),
+            values=_check(doc.get("values"), "spectrum.values", [float], required=False))
+        if not conv:
+            return spectrum
+        cov = CovarianceMatrix(np.diag(spectrum.values))
+    if cov.dim != family.block_size:
+        raise ConfigError(f"spectrum: conv block source must be "
+                          f"{family.block_size}-dimensional, got {cov.dim}")
+    return BlockCovariance(cov, family.repetitions)
+
+
+def _build_grid(spec) -> np.ndarray:
+    """[lo, hi, n] with an integer n: n budgets from lo to hi; otherwise the budgets."""
+    spec = _check(spec, "F_grid", list)
+    if len(spec) == 3 and isinstance(spec[2], int) and not isinstance(spec[2], bool):
+        lo, hi = _check(spec[0], "F_grid lo", float), _check(spec[1], "F_grid hi", float)
+        if spec[2] < 1 or hi < lo or lo < 0:
+            raise ConfigError(f"F_grid needs 0 <= lo <= hi and n >= 1, got {spec}")
+        return np.linspace(lo, hi, spec[2])
+    return np.array(_check(spec, "F_grid", [float]), dtype=np.float64)
+
+
+def parse_arch(text: str) -> ArchitectureSpec:
+    """fc:N0,N1 | conv:N0,NB,Nf | mlp:w1,w2,..."""
+    return _build_arch(_arch_doc(text))
+
+
+def parse_spectrum(text: str, arch: ArchitectureSpec):
+    """exp:rate | harmonic | file:PATH | list:v1,v2,... -> Spectrum source."""
+    return _build_source(_spectrum_doc(text), arch)
+
+
+def parse_grid(text: str) -> np.ndarray:
+    """lo:hi:n ascending budget grid."""
+    return _build_grid(_grid_doc(text))
 
 
 class RunConfig:
-    """Merged settings: flags override config-file fields override defaults."""
+    """Typed settings of one mmi, curve or breakpoints run."""
 
     def __init__(self, args: argparse.Namespace):
-        doc = _load_config(args.config) if args.config else {}
-        self.sigma2 = self._pick(args.sigma2, doc.get("sigma2"), 1.0)
-        self.units = self._pick(args.units, doc.get("units"), "nats")
-        self.out = self._pick(args.out, doc.get("out"), "json")
-        self.seed = int(self._pick(args.seed, doc.get("seed"), 0))
+        doc = _run_doc(args)
+        self.sigma2 = _check(doc["sigma2"], "sigma2", float)
         if self.sigma2 <= 0:
-            raise ConfigError(f"--sigma2 must be positive, got {self.sigma2}")
-
-        figure = getattr(args, "figure1", None)
-        if figure is not None:
-            self.arch = ArchitectureSpec(FullyConnected(100, 50))
-            kind = "exp_decay" if figure == "left" else "harmonic"
-            self.source = model_spectrum(kind, 100, rate=0.1 if figure == "left" else None)
-            self.sigma2 = 1.0
-            self.grid = np.linspace(0.0, FIGURE_PRESET_BUDGET_MAX, FIGURE_PRESET_POINTS)
-            self.budget = None
-            return
-
-        arch_text = args.arch if args.arch is not None else None
-        if arch_text is not None:
-            self.arch = parse_arch(arch_text)
-        elif "architecture" in doc:
-            self.arch = _config_arch(doc["architecture"])
-        else:
-            raise ConfigError("--arch is required (or an 'architecture' config entry)")
-
-        if args.spectrum is not None:
-            self.source = parse_spectrum(args.spectrum, self.arch)
-        elif "spectrum" in doc:
-            self.source = _config_spectrum(doc["spectrum"], self.arch)
-        else:
-            raise ConfigError("--spectrum is required (or a 'spectrum' config entry)")
-
-        self.budget = self._pick(getattr(args, "F", None), doc.get("F"), None)
-        grid = getattr(args, "F_grid", None)
-        if grid is not None:
-            self.grid = parse_grid(grid)
-        elif "F_grid" in doc:
-            spec = doc["F_grid"]
-            if isinstance(spec, list) and len(spec) == 3 and isinstance(spec[2], int):
-                self.grid = np.linspace(spec[0], spec[1], spec[2])
-            else:
-                self.grid = np.asarray(spec, dtype=np.float64)
-        else:
-            self.grid = None
-
-    @staticmethod
-    def _pick(flag, config_value, default):
-        if flag is not None:
-            return flag
-        if config_value is not None:
-            return config_value
-        return default
+            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
+        self.units = _check(doc["units"], "units", UNITS)
+        self.out = _check(doc["out"], "out", OUTS)
+        self.budget = _check(doc.get("F"), "F", float, required=False)
+        self.grid = None if doc.get("F_grid") is None else _build_grid(doc["F_grid"])
+        self.arch = _build_arch(doc.get("architecture"))
+        self.source = _build_source(doc.get("spectrum"), self.arch)
 
     def convert(self, nats: float) -> float:
         return nats / math.log(2.0) if self.units == "bits" else nats
 
-    def spectrum_for_tables(self) -> Spectrum:
-        if isinstance(self.source, BlockCovariance):
-            return eigvals_from_covariance(self.source.block)
-        return self.source
 
-
-def _emit(rows: list[dict], meta: dict, out: str, stream) -> None:
+def _emit(rows: list[dict], meta: dict, out: str, stream=None) -> None:
     """One table in CSV (9 significant digits) or JSON (same quantized values)."""
     rows = [_quantize(row) for row in rows]
+    # Built for CSV too: allow_nan=False keeps NaN and inf out of both formats.
+    text = json.dumps({**_quantize(meta), "rows": rows}, indent=2, allow_nan=False)
     if out == "csv":
         columns = list(rows[0].keys()) if rows else []
-        print(",".join(columns), file=stream)
-        for row in rows:
-            print(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                           for c in columns), file=stream)
-    else:
-        doc = dict(_quantize(meta))
-        doc["rows"] = rows
-        print(json.dumps(doc, indent=2), file=stream)
+        text = "\n".join([",".join(columns)] + [
+            ",".join(f"{row[c]:.9g}" if isinstance(row[c], float) else str(row[c])
+                     for c in columns) for row in rows])
+    print(text, file=stream)
+
+
+def _curve_rows(config: RunConfig, grid) -> list[dict]:
+    return [{
+        "F": budget,
+        "mmi": config.convert(result.nats),
+        "regime_K": result.regime,
+        "active_components": result.active_components,
+    } for budget, result in mmi_curve(config.arch, config.source, config.sigma2, grid)]
 
 
 def cmd_mmi(args) -> int:
     config = RunConfig(args)
     if config.budget is None:
         raise ConfigError("--F is required for the mmi subcommand")
-    result = evaluate(config.arch, config.source, config.sigma2, float(config.budget))
-    bottleneck = result.regime + result.active_components
-    rows = [{
-        "F": float(config.budget),
-        "mmi": config.convert(result.nats),
-        "regime_K": result.regime,
-        "active_components": result.active_components,
-        "bottleneck": bottleneck,
-    }]
-    meta = {"command": "mmi", "units": config.units, "sigma2": config.sigma2}
-    _emit(rows, meta, config.out, sys.stdout)
+    rows = _curve_rows(config, [config.budget])
+    rows[0]["bottleneck"] = rows[0]["regime_K"] + rows[0]["active_components"]
+    _emit(rows, {"command": "mmi", "units": config.units, "sigma2": config.sigma2},
+          config.out)
     return 0
 
 
@@ -301,17 +291,11 @@ def cmd_curve(args) -> int:
     config = RunConfig(args)
     if config.grid is None:
         raise ConfigError("--F-grid (or --figure1) is required for the curve subcommand")
-    points = mmi_curve(config.arch, config.source, config.sigma2, config.grid)
-    rows = [{
-        "F": budget,
-        "mmi": config.convert(result.nats),
-        "regime_K": result.regime,
-        "active_components": result.active_components,
-    } for budget, result in points]
-    meta = {"command": "curve", "units": config.units, "sigma2": config.sigma2}
+    rows = _curve_rows(config, config.grid)
     if args.gnuplot:
         _write_gnuplot(args.gnuplot, rows, config.units)
-    _emit(rows, meta, config.out, sys.stdout)
+    _emit(rows, {"command": "curve", "units": config.units, "sigma2": config.sigma2},
+          config.out)
     return 0
 
 
@@ -319,11 +303,7 @@ def _write_gnuplot(script_path: str, rows: list[dict], units: str) -> None:
     """Companion plain-text plotting script plus the CSV it references."""
     data_path = script_path.rsplit(".", 1)[0] + ".csv"
     with open(data_path, "w") as fh:
-        fh.write("F,mmi,regime_K,active_components\n")
-        for row in rows:
-            quantized = _quantize(row)
-            fh.write(f"{_fmt(quantized['F'])},{_fmt(quantized['mmi'])},"
-                     f"{quantized['regime_K']},{quantized['active_components']}\n")
+        _emit(rows, {}, "csv", fh)
     with open(script_path, "w") as fh:
         fh.write("set datafile separator ','\n")
         fh.write(f"set xlabel 'F'\nset ylabel 'capacity ({units})'\n")
@@ -332,35 +312,26 @@ def _write_gnuplot(script_path: str, rows: list[dict], units: str) -> None:
 
 def cmd_breakpoints(args) -> int:
     config = RunConfig(args)
-    spectrum = config.spectrum_for_tables()
-    family = config.arch.family
-    if isinstance(family, MultiLayer):
-        n_tilde = family.bottleneck(len(spectrum))
-    else:
-        n_tilde = family.bottleneck
-    bp = breakpoints(spectrum, config.sigma2, n_tilde)
+    bp = evaluate(config.arch, config.source, config.sigma2, 0.0).breakpoints
     rows = [{"k": k + 1, "breakpoint": float(value)}
             for k, value in enumerate(bp.values)]
-    meta = {"command": "breakpoints", "sigma2": config.sigma2}
-    _emit(rows, meta, config.out, sys.stdout)
+    _emit(rows, {"command": "breakpoints", "sigma2": config.sigma2}, config.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    seed = int(args.seed) if args.seed is not None else 0
+    seed = _check(_run_doc(args)["seed"], "seed", int)
     report = run_verification(seed=seed, mmi_offset=args.corrupt_closed_form)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status} {check['name']}", file=sys.stderr)
-    print(json.dumps(_quantize(report), indent=2))
+    print(json.dumps(_quantize(report), indent=2, allow_nan=False))
     return 0 if report["pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mmicap",
-        description="Mutual-information capacity of Gaussian-input architectures.",
-    )
+        prog="mmicap", description="Mutual-information capacity of Gaussian-input architectures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -368,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spectrum",
                         help="exp:rate | harmonic | file:PATH | list:v1,v2,...")
     common.add_argument("--sigma2", type=float, help="output noise variance (default 1)")
-    common.add_argument("--units", choices=["nats", "bits"])
-    common.add_argument("--out", choices=["csv", "json"])
+    common.add_argument("--units", choices=UNITS)
+    common.add_argument("--out", choices=OUTS)
     common.add_argument("--seed", type=int)
     common.add_argument("--config", help="JSON config file; flags override its fields")
 
@@ -379,17 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", parents=[common], help="capacity over a budget grid")
     p_curve.add_argument("--F-grid", dest="F_grid", help="lo:hi:n ascending grid")
-    p_curve.add_argument("--figure1", choices=["left", "right"],
+    p_curve.add_argument("--figure1", choices=sorted(FIGURE1),
                          help="preset: N0=100, N1=50, sigma2=1, 400-point grid")
     p_curve.add_argument("--gnuplot", help="also write a plotting script and its CSV here")
     p_curve.set_defaults(func=cmd_curve)
 
-    p_bp = sub.add_parser("breakpoints", parents=[common],
-                          help="regime boundaries of the budget axis")
-    p_bp.set_defaults(func=cmd_breakpoints)
+    sub.add_parser("breakpoints", parents=[common],
+                   help="regime boundaries of the budget axis").set_defaults(func=cmd_breakpoints)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the verification suite")
+    p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p_verify.add_argument("--corrupt-closed-form", type=float, default=0.0,
                           help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
@@ -401,10 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MmicapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (MmicapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DeltaOutOfRange, NotPositiveDefinite, NumericalUnderflow
 from .mmi import ChannelParams, mmi_fc
@@ -292,7 +291,7 @@ def delta_bound(model: ChannelModel, cov: CovarianceMatrix) -> float:
     bound = 0.0
     for b_i, v_i in zip(model.bias, variances):
         if v_i > 0.0:
-            bound += float(ndtr(-b_i / math.sqrt(v_i)))
+            bound += 0.5 * math.erfc(b_i / math.sqrt(2.0 * v_i))
         elif b_i < 0.0:
             bound += 1.0
     return min(1.0, bound)

@@ -113,10 +113,10 @@ class ChannelParams:
     budget: float
 
     def __post_init__(self) -> None:
-        if not self.noise_var > 0.0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
-        if self.budget < 0.0:
-            raise NegativeBudget(f"budget must be non-negative, got {self.budget}")
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
+        if not 0.0 <= self.budget < math.inf:
+            raise NegativeBudget(f"budget must be non-negative and finite, got {self.budget}")
 
 
 @dataclass(frozen=True)

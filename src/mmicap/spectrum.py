@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class Spectrum:
             raise NonPositiveEigenvalue("spectrum contains non-finite entries")
         if np.any(vals <= 0.0):
             raise NonPositiveEigenvalue("eigenvalues must be strictly positive")
+        if not math.isfinite(1.0 / float(vals.min())):
+            raise NonPositiveEigenvalue("eigenvalues must have finite reciprocals")
         if np.any(np.diff(vals) > 0.0):
             raise ValueError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "values", _frozen_array(vals))

@@ -9,11 +9,12 @@ active set are the breakpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NegativeBudget
+from .errors import IndexOutOfRange, NegativeBudget, NonPositiveEigenvalue
 from .spectrum import Spectrum, _frozen_array
 
 
@@ -54,6 +55,11 @@ class WaterfillSolution:
 def _floors(spectrum: Spectrum, noise_var: float, count: int) -> np.ndarray:
     if noise_var <= 0.0:
         raise ValueError("noise_var must be positive")
+    # The smallest eigenvalue of the prefix gives the largest floor.
+    if not math.isfinite(noise_var / float(spectrum.values[count - 1])):
+        raise NonPositiveEigenvalue(
+            f"noise_var / eigenvalue overflows for noise_var {noise_var} and "
+            f"eigenvalue {spectrum.values[count - 1]}")
     return noise_var / spectrum.values[:count]
 
 

@@ -1,14 +1,20 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmicap.cli import main, parse_arch, parse_grid, parse_spectrum
 
@@ -264,3 +270,166 @@ class TestEntryPoint:
              "--spectrum", "list:2,1", "--F", "1", "--units", "furlongs"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+FC_TWO_ONE = {"architecture": {"family": "fc", "n0": 2, "n1": 2},
+              "spectrum": {"kind": "explicit", "values": [2.0, 1.0]}}
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("command, fields", [
+        ("mmi", {"F": 1.0, "units": "furlongs"}),
+        ("mmi", {"F": 1.0, "out": "xml"}),
+        ("mmi", {"F": 1.0, "architecture": {"family": "fc", "n0": 2}}),
+        ("mmi", {"F": 1.0, "sigma2": "1"}),
+        ("curve", {"F_grid": [0.0, float("nan"), 3]}),
+        ("curve", {"F_grid": [0.5, float("nan")]}),
+    ])
+    def test_bad_field_exits_2(self, tmp_path, capsys, command, fields):
+        config = write_config(tmp_path, {**FC_TWO_ONE, **fields})
+        code, out, err = run_cli([command, "--config", config], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_model_spectrum_length_from_architecture(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "architecture": {"family": "fc", "n0": 4, "n1": 2},
+            "spectrum": {"kind": "exp_decay", "rate": 0.5},
+            "F": 1.0,
+        })
+        code, from_config, _ = run_cli(["mmi", "--config", config], capsys)
+        assert code == 0
+        code, from_flags, _ = run_cli(["mmi", "--arch", "fc:4,2", "--spectrum", "exp:0.5",
+                                       "--F", "1"], capsys)
+        assert code == 0
+        assert from_config == from_flags
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("args", [
+        ["mmi", "--F", "nan"],
+        ["mmi", "--F", "inf"],
+        ["curve", "--F-grid", "0:nan:3"],
+        ["mmi", "--F", "1", "--sigma2", "nan"],
+    ])
+    def test_rejected_with_exit_2(self, capsys, args):
+        code, out, err = run_cli(args[:1] + ["--arch", "fc:2,2", "--spectrum", "list:2,1"]
+                                 + args[1:], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_overflowing_capacity_never_printed(self, capsys):
+        for out in ("json", "csv"):
+            code, stdout, err = run_cli(["mmi", "--arch", "fc:2,2", "--spectrum", "list:2,1",
+                                         "--F", "1e308", "--sigma2", "1e-300",
+                                         "--out", out], capsys)
+            assert code == 2 and stdout == ""
+            assert err.startswith("error:")
+
+
+class TestBreakpointsChecks:
+    def test_spectrum_length_mismatch_exits_2(self, capsys):
+        code, out, err = run_cli(["breakpoints", "--arch", "fc:3,2",
+                                  "--spectrum", "list:2,1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
+# Fuzzing main(): command lines and config files mixing valid and invalid
+# fragments; a flag value comes from its valid pool three times in four.  Every
+# dimension and grid size stays tiny, so no draw can ask for a large
+# allocation.
+def valid_or_not(valid, invalid):
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(invalid))
+
+
+NUMBER_TEXT = valid_or_not(["0", "1", "2.5", "1e-3"], ["-1", "1e-300", "1e308", "nan", "inf", "x"])
+ARCH_TEXT = st.sampled_from(["fc:2,2", "fc:3,2", "fc:2", "fc:0,2", "fc:a,2", "conv:4,2,2",
+                             "conv:6,3,2", "conv:5,2,1", "mlp:3,1", "mlp:", "rnn:2,2"])
+SPECTRUM_TEXT = st.sampled_from(["list:2,1", "list:3,2,1", "list:1,1e-310", "list:nan,1",
+                                 "list:0,1", "list:", "exp:0.5", "exp:nan", "exp:-1", "exp:",
+                                 "harmonic", "file:{dir}/spec.json", "file:{dir}/cov.csv",
+                                 "file:/nonexistent.csv", "bogus:1"])
+MODEL_FLAGS = st.one_of(
+    st.sampled_from([("fc:2,2", "list:2,1"), ("fc:3,2", "exp:0.5"), ("conv:4,2,2", "harmonic"),
+                     ("mlp:3,1", "list:3,2,1"), ("fc:2,2", "file:{dir}/cov.csv"),
+                     ("conv:4,2,2", "file:{dir}/cov.csv"), ("fc:2,2", "file:{dir}/spec.json")]),
+    st.tuples(ARCH_TEXT, SPECTRUM_TEXT))
+GRID_TEXT = st.one_of(
+    st.builds(lambda lo, hi, n: f"{lo}:{hi}:{n}", NUMBER_TEXT, NUMBER_TEXT,
+              valid_or_not(["1", "3"], ["0", "-2", "x"])),
+    st.sampled_from(["0:1", "::", ""]))
+SMALL_INT = st.integers(-1, 6)
+JSON_VALUE = st.one_of(st.none(), st.booleans(), SMALL_INT, st.floats(), st.text(max_size=3),
+                       st.lists(st.one_of(SMALL_INT, st.floats()), max_size=4))
+ARCH_DOC = st.fixed_dictionaries({"family": st.sampled_from(["fc", "conv", "mlp", "rnn"])},
+                                 optional={"n0": SMALL_INT, "n1": SMALL_INT,
+                                           "block": SMALL_INT, "filters": SMALL_INT,
+                                           "widths": st.lists(SMALL_INT, max_size=3),
+                                           "activation": st.sampled_from(["relu", "swish"])})
+SPECTRUM_DOC = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["exp_decay", "harmonic", "explicit", "zipf"]),
+    "rate": JSON_VALUE, "n": JSON_VALUE, "values": JSON_VALUE,
+    "covariance_csv": st.sampled_from(["{dir}/cov.csv", "/nonexistent.csv"])})
+CONFIG_DOC = st.fixed_dictionaries({}, optional={
+    "architecture": st.one_of(ARCH_DOC, JSON_VALUE),
+    "spectrum": st.one_of(SPECTRUM_DOC, JSON_VALUE),
+    "F": JSON_VALUE, "F_grid": JSON_VALUE, "sigma2": JSON_VALUE,
+    "units": st.one_of(st.sampled_from(["nats", "bits", "furlongs"]), JSON_VALUE),
+    "out": st.one_of(st.sampled_from(["csv", "json", "xml"]), JSON_VALUE),
+    "seed": JSON_VALUE})
+NON_FINITE_OUTPUT = re.compile(r"NaN|Infinity|\bnan\b|\binf\b")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["mmi", "curve", "breakpoints"]))
+    flags = [("--sigma2", NUMBER_TEXT),
+             ("--units", st.sampled_from(["nats", "bits"])),
+             ("--out", st.sampled_from(["csv", "json"]))]
+    if command == "mmi":
+        flags.append(("--F", NUMBER_TEXT))
+    if command == "curve":
+        flags += [("--F-grid", GRID_TEXT), ("--figure1", st.sampled_from(["left", "right"]))]
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        arch, spectrum = draw(MODEL_FLAGS)
+        argv += ["--arch", arch, "--spectrum", spectrum]
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv, draw(st.one_of(st.none(), st.none(), CONFIG_DOC))
+
+
+class TestFuzzMain:
+    @settings(max_examples=150, deadline=None)
+    @given(command_lines(), SPECTRUM_DOC)
+    def test_exit_code_and_finite_output(self, case, spectrum_doc):
+        argv, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            # "{dir}" in a drawn value names this example's directory.
+            files = {"spec.json": json.dumps(spectrum_doc), "cov.csv": "2.0,0.5\n0.5,1.0\n",
+                     "run.json": json.dumps(config)}
+            for name, text in files.items():
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(text.replace("{dir}", tmp))
+            argv = [arg.replace("{dir}", tmp) for arg in argv]
+            if config is not None:
+                argv += ["--config", os.path.join(tmp, "run.json")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 2), (argv, config, err.getvalue())
+        if code == 0:
+            assert not NON_FINITE_OUTPUT.search(out.getvalue()), (argv, config)
+        else:
+            assert "error:" in err.getvalue(), (argv, config)

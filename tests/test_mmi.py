@@ -14,6 +14,7 @@ from mmicap import (
     DimensionMismatch,
     FullyConnected,
     MultiLayer,
+    NegativeBudget,
     TargetUnreachable,
     breakpoints,
     evaluate,
@@ -67,6 +68,16 @@ class TestMmiFc:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mmi_fc(ChannelParams(1.0, 1.0), TWO_ONE, 3, 2)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(NegativeBudget):
+            evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, budget)
+
+    @pytest.mark.parametrize("noise_var", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise_var):
+        with pytest.raises(ValueError):
+            ChannelParams(noise_var, 1.0)
 
     def test_bottleneck_symmetry(self):
         rng = np.random.default_rng(5)

@@ -143,6 +143,10 @@ class TestSpectrumInvariants:
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0]))
 
+    def test_rejects_entries_with_infinite_reciprocal(self):
+        with pytest.raises(NonPositiveEigenvalue):
+            Spectrum(np.array([1.0, 1e-310]))
+
     def test_values_immutable(self):
         spec = model_spectrum("harmonic", 4)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Water-filling: breakpoints, regime lookup, and the allocation solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from mmicap import (
     IndexOutOfRange,
     NegativeBudget,
+    NonPositiveEigenvalue,
     breakpoint_value,
     breakpoints,
     model_spectrum,
@@ -114,6 +117,17 @@ class TestRegime:
         bp = breakpoints(model_spectrum("explicit", values=[2.0, 1.0]), 1.0, 2)
         with pytest.raises(NegativeBudget):
             regime(-0.1, bp)
+
+
+class TestFloorOverflow:
+    def test_overflowing_floor_rejected_without_warning(self):
+        spectrum = model_spectrum("explicit", values=[1.0, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveEigenvalue):
+                breakpoints(spectrum, 1e10, 2)
+            with pytest.raises(NonPositiveEigenvalue):
+                solve_waterfill(1.0, spectrum, 1e10, 2)
 
 
 class TestSolveWaterfill:
