@@ -35,7 +35,6 @@ from .mc import (
     relu_channel,
     sample_gaussian_inputs,
     verify_entropy_ordering,
-    verify_relu_theorem,
 )
 from .mmi import (
     ArchitectureSpec,
@@ -76,7 +75,7 @@ from .spectrum import (
     load_spectrum_json,
     model_spectrum,
 )
-from .verify import run_verification
+from .verify import run_verification, verify_relu_theorem
 from .waterfill import (
     Breakpoints,
     WaterfillSolution,

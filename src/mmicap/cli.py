@@ -42,6 +42,10 @@ FIGURE1 = {
 #: Dimension fields of the fc and conv architecture entries, in ``--arch`` order.
 ARCH_DIMS = {"fc": ("n0", "n1"), "conv": ("n0", "block", "filters")}
 
+#: Most elements of any array a run builds from its settings: the spectrum
+#: length for fc and mlp, block^2 for conv, the F_grid count.
+MAX_ELEMENTS = 10**7
+
 SPECTRUM_KINDS = ("exp_decay", "harmonic", "explicit")
 UNITS = ("nats", "bits")
 OUTS = ("csv", "json")
@@ -84,6 +88,12 @@ def _check(value, name: str, kind, required: bool = True):
     if isinstance(value, bool) or not ok:
         raise ConfigError(f"{name} must be {wanted}, got {value!r}")
     return float(value) if kind is float else value
+
+
+def _bound(count: int, name: str) -> int:
+    if count > MAX_ELEMENTS:
+        raise ConfigError(f"{name} would build {count} elements; the limit is {MAX_ELEMENTS}")
+    return count
 
 
 def _arch_doc(text: str) -> dict:
@@ -197,6 +207,8 @@ def _build_source(doc, arch: ArchitectureSpec):
                 raise ConfigError("spectrum: model spectra need a length 'n' under an mlp "
                                   "architecture; use list:, file: or a config entry with 'n'")
             n = family.block_size if conv else family.input_dim
+        if n is not None:  # a conv block spectrum becomes an n x n covariance
+            _bound(n * n if conv else n, "spectrum")
         spectrum = model_spectrum(
             kind, n, rate=_check(doc.get("rate"), "spectrum.rate", float, required=False),
             values=_check(doc.get("values"), "spectrum.values", [float], required=False))
@@ -216,7 +228,7 @@ def _build_grid(spec) -> np.ndarray:
         lo, hi = _check(spec[0], "F_grid lo", float), _check(spec[1], "F_grid hi", float)
         if spec[2] < 1 or hi < lo or lo < 0:
             raise ConfigError(f"F_grid needs 0 <= lo <= hi and n >= 1, got {spec}")
-        return np.linspace(lo, hi, spec[2])
+        return np.linspace(lo, hi, _bound(spec[2], "F_grid"))
     return np.array(_check(spec, "F_grid", [float]), dtype=np.float64)
 
 

@@ -18,14 +18,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ConfigError, DeltaOutOfRange, NotPositiveDefinite, NumericalUnderflow
-from .mmi import ChannelParams, mmi_fc
-from .oracle import WeightMatrix, build_optimal_weights
-from .spectrum import CovarianceMatrix, decompose_covariance
+from .spectrum import CovarianceMatrix
+
+if TYPE_CHECKING:
+    from .oracle import WeightMatrix
 
 #: Upper limit on elements per distance-matrix chunk (keeps memory flat).
 _CHUNK_ELEMENTS = 1 << 22
@@ -163,7 +164,7 @@ def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
 
     Every exponent -(|p - c|^2) / (2 s) is non-positive, so the sum of
     exponentials cannot overflow and needs no max-stabilization; a zero sum
-    means every component underflowed (the caller flags that as an error).
+    means every component underflowed, which raises NumericalUnderflow.
     Work happens in fixed-size chunks written into a preallocated array, so
     the result is identical regardless of how many worker threads run.
     """
@@ -194,36 +195,29 @@ def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
             fill(start)
     with np.errstate(divide="ignore"):
         log_sums = np.log(sums)
+    if not np.all(np.isfinite(log_sums)):
+        raise NumericalUnderflow("mixture density underflowed at some evaluation points")
     return log_sums - math.log(n_centres) - 0.5 * dim * math.log(2.0 * math.pi * noise_var)
 
 
-def _substreams(seed: int, count: int):
-    return np.random.SeedSequence(seed).spawn(count)
-
-
-def _derived_seed(seed: int, index: int) -> int:
-    """A stable child seed for row ``index`` of a sweep."""
-    return int(np.random.SeedSequence(seed).spawn(index + 1)[index].generate_state(1)[0])
-
-
-def _entropy_contributions(model: ChannelModel, cov: CovarianceMatrix,
-                           mc: MCConfig) -> np.ndarray:
-    """Per-outer-sample plug-in entropy contributions, in nats.
-
-    Substreams of ``mc.seed``: 0 inner inputs, 1 outer inputs, 2 outer noise
-    (3 is reserved for the conditional Jacobian term of bijective channels).
-    """
-    ss = _substreams(mc.seed, 4)
+def _draw(model: ChannelModel, cov: CovarianceMatrix, mc: MCConfig):
+    """Inner inputs, outer inputs and outer noise from substreams 0, 1 and 2
+    of ``mc.seed`` (3 is reserved for the conditional Jacobian term of
+    bijective channels)."""
+    ss = np.random.SeedSequence(mc.seed).spawn(3)
     x_inner = sample_gaussian_inputs(cov, mc.n_inner, ss[0])
     x_outer = sample_gaussian_inputs(cov, mc.n_outer, ss[1])
     noise = np.random.default_rng(ss[2]).standard_normal(
         (mc.n_outer, model.hidden_dim)) * math.sqrt(model.noise_var)
-    centres = model.mean(x_inner)
+    return x_inner, x_outer, noise
+
+
+def _entropy_contributions(model: ChannelModel, cov: CovarianceMatrix,
+                           mc: MCConfig) -> np.ndarray:
+    """Per-outer-sample plug-in entropy contributions, in nats."""
+    x_inner, x_outer, noise = _draw(model, cov, mc)
     points = model.mean(x_outer) + noise
-    log_density = _mixture_log_density(points, centres, model.noise_var)
-    if not np.all(np.isfinite(log_density)):
-        raise NumericalUnderflow("mixture density underflowed at some evaluation points")
-    contributions = -log_density
+    contributions = -_mixture_log_density(points, model.mean(x_inner), model.noise_var)
     if model.activation == "bijective":
         # Change of variables: H(phi(A)) = H(A) + E[log |det Dphi(A)|],
         # estimated on the same marginal pre-activation samples.
@@ -265,7 +259,7 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
     value, se = _mean_se(contributions)
     cond = conditional_entropy(model)
     if model.activation == "bijective":
-        rng = np.random.default_rng(_substreams(mc.seed, 4)[3])
+        rng = np.random.default_rng(np.random.SeedSequence(mc.seed).spawn(4)[3])
         x = sample_gaussian_inputs(cov, mc.n_outer, rng)
         noise = rng.standard_normal((mc.n_outer, model.hidden_dim)) \
             * math.sqrt(model.noise_var)
@@ -314,71 +308,19 @@ def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
             + 2.0 * h2)
 
 
-def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,
-                        hidden_dim: int, bias_scales, mc: MCConfig) -> dict:
-    """Large-bias convergence of relu MI to the linear closed form.
-
-    For each bias scale c the capacity-achieving weights get bias c * 1; the
-    report passes when the gap sequence is non-increasing up to combined
-    noise and the final gap sits within the analytic bound plus noise.
-    """
-    scales = [float(c) for c in bias_scales]
-    if not scales or any(c <= 0 for c in scales) or sorted(scales) != scales:
-        raise ConfigError("bias_scales must be positive and ascending")
-    decomposition = decompose_covariance(cov)
-    weights = build_optimal_weights(budget, decomposition, noise_var, hidden_dim)
-    closed = mmi_fc(ChannelParams(noise_var, budget), decomposition.spectrum,
-                    cov.dim, hidden_dim).nats
-    rows = []
-    for index, scale in enumerate(scales):
-        model = relu_channel(weights, np.full(hidden_dim, scale), noise_var)
-        tv_bound = delta_bound(model, cov)
-        info_bound = g_bound(tv_bound, noise_var, hidden_dim) if tv_bound < _INV_E else None
-        row_mc = MCConfig(mc.n_outer, mc.n_inner, _derived_seed(mc.seed, index))
-        estimate = estimate_mi(model, cov, row_mc)
-        rows.append({
-            "scale": scale,
-            "delta_bound": tv_bound,
-            "g_bound": info_bound,
-            "mi_estimate": estimate.value,
-            "std_error": estimate.std_error,
-            "closed_form": closed,
-            "gap": closed - estimate.value,
-        })
-    monotone = all(
-        rows[i + 1]["gap"] <= rows[i]["gap"]
-        + 3.0 * math.hypot(rows[i]["std_error"], rows[i + 1]["std_error"])
-        for i in range(len(rows) - 1)
-    )
-    final = rows[-1]
-    final_ok = (final["g_bound"] is not None
-                and final["gap"] <= final["g_bound"] + 3.0 * final["std_error"])
-    return {
-        "theorem": "relu-large-bias-convergence",
-        "rows": rows,
-        "pass": bool(monotone and final_ok),
-    }
-
-
 def verify_entropy_ordering(model: ChannelModel, cov: CovarianceMatrix,
                             mc: MCConfig) -> dict:
     """Checks that the relu channel's output entropy never exceeds its
     linear twin's, using common random numbers for variance reduction."""
     if model.activation != "relu":
         raise ConfigError("verify_entropy_ordering takes a relu channel")
-    ss = _substreams(mc.seed, 3)
-    x_inner = sample_gaussian_inputs(cov, mc.n_inner, ss[0])
-    x_outer = sample_gaussian_inputs(cov, mc.n_outer, ss[1])
-    noise = np.random.default_rng(ss[2]).standard_normal(
-        (mc.n_outer, model.hidden_dim)) * math.sqrt(model.noise_var)
+    x_inner, x_outer, noise = _draw(model, cov, mc)
     pre_inner = model.preactivation(x_inner)
     pre_outer = model.preactivation(x_outer)
 
     h_linear = -_mixture_log_density(pre_outer + noise, pre_inner, model.noise_var)
     h_relu = -_mixture_log_density(np.maximum(pre_outer, 0.0) + noise,
                                    np.maximum(pre_inner, 0.0), model.noise_var)
-    if not (np.all(np.isfinite(h_linear)) and np.all(np.isfinite(h_relu))):
-        raise NumericalUnderflow("mixture density underflowed at some evaluation points")
     lin_value, lin_se = _mean_se(h_linear)
     relu_value, relu_se = _mean_se(h_relu)
     diff_value, diff_se = _mean_se(h_relu - h_linear)

@@ -8,7 +8,7 @@ and projected gradient ascent over the squared-Frobenius ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -124,12 +124,16 @@ def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
     return nats
 
 
+def _gradient(w: np.ndarray, factor, cov: np.ndarray, noise_var: float) -> np.ndarray:
+    """(Id + W C W^T / s)^{-1} W C / s, given the Cholesky factor from _mi_value."""
+    return cho_solve(factor, w @ cov, check_finite=False) / noise_var
+
+
 def mi_gradient(weights: WeightMatrix, cov: CovarianceMatrix,
                 noise_var: float) -> np.ndarray:
-    """Gradient of exact_linear_mi with respect to the weight entries:
-    (Id + W C W^T / s)^{-1} W C / s."""
+    """Gradient of exact_linear_mi with respect to the weight entries."""
     factor, _ = _mi_value(weights.entries, cov.entries, noise_var)
-    return cho_solve(factor, weights.entries @ cov.entries, check_finite=False) / noise_var
+    return _gradient(weights.entries, factor, cov.entries, noise_var)
 
 
 def build_optimal_weights(budget: float, decomposition: SpectralDecomposition,
@@ -160,21 +164,20 @@ def _project(w: np.ndarray, budget: float) -> np.ndarray:
     return w
 
 
-def _ascend(w: np.ndarray, budget: float, evaluate, gradient,
+def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             config: OptimizerConfig):
-    """One projected-gradient run; returns (w, nats, converged, iters, grad_norm).
+    """One projected-gradient run on the exact MI of ``w`` against ``cov``;
+    returns (w, nats, converged, iters, grad_norm).
 
-    ``evaluate(w) -> (factor, nats)`` scores a point; ``gradient(w, factor)``
-    returns the ascent direction in the same shape as ``w``.  The accepted
-    line-search step carries over (doubled) into the next iteration, so the
-    search rarely backtracks more than once.
+    The accepted line-search step carries over (doubled) into the next
+    iteration, so the search rarely backtracks more than once.
     """
-    factor, value = evaluate(w)
+    factor, value = _mi_value(w, cov, noise_var)
     grad_norm = np.inf
     iterations = 0
     step = config.step_size
     for iterations in range(config.max_iters):
-        grad = gradient(w, factor)
+        grad = _gradient(w, factor, cov, noise_var)
         # At the constrained optimum the gradient is radial (pointing
         # outward), so convergence is measured on the tangential residual.
         w_sq = float(np.sum(w * w))
@@ -190,7 +193,7 @@ def _ascend(w: np.ndarray, budget: float, evaluate, gradient,
         improved = False
         while step > 1e-18:
             candidate = _project(w + step * grad, budget)
-            cand_factor, cand_value = evaluate(candidate)
+            cand_factor, cand_value = _mi_value(candidate, cov, noise_var)
             if cand_value >= value + ARMIJO_C * step * grad_norm ** 2:
                 w, value, factor = candidate, cand_value, cand_factor
                 improved = True
@@ -203,16 +206,20 @@ def _ascend(w: np.ndarray, budget: float, evaluate, gradient,
     return w, value, False, config.max_iters, grad_norm
 
 
-def _multistart(shape, budget, evaluate, gradient, config: OptimizerConfig):
-    best = None
-    for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
-        w0 = rng.standard_normal(shape)
-        w0 *= np.sqrt(budget / np.sum(w0 * w0))
-        run = _ascend(w0, budget, evaluate, gradient, config)
-        if best is None or run[1] > best[1]:
-            best = run
-    w, nats, converged, iterations, grad_norm = best
+def _multistart(hidden_dim: int, budget: float, cov: np.ndarray, noise_var: float,
+                config: OptimizerConfig) -> OptimizeResult:
+    """Best of ``config.restarts`` ascents from random points on the budget
+    sphere; the zero matrix when the budget is zero."""
+    if budget < 0.0:
+        raise ValueError("budget must be non-negative")
+    shape = (hidden_dim, cov.shape[0])
+    runs = []
+    for restart in range(config.restarts if budget > 0.0 else 0):
+        w0 = np.random.default_rng([config.seed, restart]).standard_normal(shape)
+        runs.append(_ascend(w0 * np.sqrt(budget / np.sum(w0 * w0)), budget, cov,
+                            noise_var, config))
+    w, nats, converged, iterations, grad_norm = max(
+        runs, key=lambda run: run[1], default=(np.zeros(shape), 0.0, True, 0, 0.0))
     return OptimizeResult(WeightMatrix(w), nats, converged, iterations, grad_norm)
 
 
@@ -224,20 +231,7 @@ def maximize_mi(budget: float, cov: CovarianceMatrix, noise_var: float,
     budget sphere (restart r seeds from (config.seed, r), so results are
     reproducible and schedule-independent) and keeps the best.
     """
-    if budget < 0.0:
-        raise ValueError("budget must be non-negative")
-    if budget == 0.0:
-        zero = WeightMatrix(np.zeros((hidden_dim, cov.dim)))
-        return OptimizeResult(zero, 0.0, True, 0, 0.0)
-    entries = cov.entries
-
-    def evaluate(w):
-        return _mi_value(w, entries, noise_var)
-
-    def gradient(w, factor):
-        return cho_solve(factor, w @ entries, check_finite=False) / noise_var
-
-    return _multistart((hidden_dim, cov.dim), budget, evaluate, gradient, config)
+    return _multistart(hidden_dim, budget, cov.entries, noise_var, config)
 
 
 def tile_filter(filter_matrix: np.ndarray, repetitions: int) -> np.ndarray:
@@ -249,34 +243,18 @@ def maximize_mi_conv(budget: float, block: BlockCovariance, num_filters: int,
                      noise_var: float, config: OptimizerConfig) -> OptimizeResult:
     """Projected gradient ascent over the tied convolution filter.
 
-    The filter is tiled block-diagonally and scored on the full channel; the
-    budget constrains the filter itself.  Returned weights are the
+    The input covariance is block-diagonal, so the full-channel MI of a tiled
+    filter is repetitions times its MI on one block: the ascent runs on one
+    block (``iterations`` and ``grad_norm`` are block-level), and only the
+    winning filter is tiled and scored on the full channel.  The budget
+    constrains the filter itself.  Returned weights are the
     num_filters x block_size filter; ``nats`` is the full-channel MI.
     """
-    if budget < 0.0:
-        raise ValueError("budget must be non-negative")
     if num_filters < 1:
         raise DimensionMismatch("num_filters must be a positive integer")
-    block_size = block.block.dim
-    if budget == 0.0:
-        zero = WeightMatrix(np.zeros((num_filters, block_size)))
-        return OptimizeResult(zero, 0.0, True, 0, 0.0)
-    full_cov = block.expand().entries
-    reps = block.repetitions
-
-    def evaluate(filt):
-        return _mi_value(tile_filter(filt, reps), full_cov, noise_var)
-
-    def gradient(filt, factor):
-        tiled = tile_filter(filt, reps)
-        full_grad = cho_solve(factor, tiled @ full_cov, check_finite=False) / noise_var
-        grad = np.zeros_like(filt)
-        for j in range(reps):
-            grad += full_grad[j * num_filters:(j + 1) * num_filters,
-                              j * block_size:(j + 1) * block_size]
-        return grad
-
-    return _multistart((num_filters, block_size), budget, evaluate, gradient, config)
+    best = _multistart(num_filters, budget, block.block.entries, noise_var, config)
+    tiled = WeightMatrix(tile_filter(best.weights.entries, block.repetitions))
+    return replace(best, nats=exact_linear_mi(tiled, block.expand(), noise_var))
 
 
 def factor_check_multilayer(weights: WeightMatrix, widths, cov: CovarianceMatrix,

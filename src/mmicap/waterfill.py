@@ -63,6 +63,14 @@ def _floors(spectrum: Spectrum, noise_var: float, count: int) -> np.ndarray:
     return noise_var / spectrum.values[:count]
 
 
+def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
+    if not 1 <= n_tilde <= len(spectrum):
+        raise IndexOutOfRange(f"n_tilde {n_tilde} outside [1, {len(spectrum)}]")
+    floors = _floors(spectrum, noise_var, n_tilde)
+    steps = np.arange(1, n_tilde, dtype=np.float64) * np.diff(floors)
+    return floors, np.concatenate(([0.0], np.cumsum(steps)))
+
+
 def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoints:
     """Full breakpoint sequence for the leading ``n_tilde`` components.
 
@@ -72,12 +80,7 @@ def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoin
     returned sequence is non-decreasing bit-for-bit and starts at exactly 0.
     The closed form is noise_var * (k / lambda_k - sum_{i<=k} 1 / lambda_i).
     """
-    if not 1 <= n_tilde <= len(spectrum):
-        raise IndexOutOfRange(f"n_tilde {n_tilde} outside [1, {len(spectrum)}]")
-    floors = _floors(spectrum, noise_var, n_tilde)
-    steps = np.arange(1, n_tilde, dtype=np.float64) * np.diff(floors)
-    rho = np.concatenate(([0.0], np.cumsum(steps)))
-    return Breakpoints(rho)
+    return Breakpoints(_floors_and_breakpoints(spectrum, noise_var, n_tilde)[1])
 
 
 def breakpoint_value(spectrum: Spectrum, noise_var: float, k: int) -> float:
@@ -106,24 +109,22 @@ def solve_waterfill(budget: float, spectrum: Spectrum, noise_var: float,
     """Optimal allocation of ``budget`` across the leading components.
 
     The water level is (budget + sum of active floors) / active_set_size and
-    each allocation is max(0, level - floor).  Allocations are evaluated via
-    pairwise floor differences, which avoids the cancellation in
-    (level - floor) when the budget is tiny against the floor scale, keeping
-    the budget exactly saturated to ~1e-13 relative.
+    each allocation is max(0, level - floor).  With m components active,
+    level - f_i is evaluated as (f_m - f_i) + (budget - rho_m) / m, where
+    rho_m is the m-th breakpoint: both terms are non-negative, so nothing
+    cancels when the budget is tiny against the floor scale, and the budget
+    stays exactly saturated to ~1e-13 relative in O(n) time and memory.
     """
-    bp = breakpoints(spectrum, noise_var, n_tilde)
-    excluded = regime(budget, bp)
-    active = n_tilde - excluded
-    floors = _floors(spectrum, noise_var, n_tilde)
+    floors, rho = _floors_and_breakpoints(spectrum, noise_var, n_tilde)
+    active = n_tilde - regime(budget, Breakpoints(rho))
+    alloc = np.zeros(n_tilde)
 
     if budget == 0.0:
         level = float(floors[0])
-        alloc = np.zeros(n_tilde)
     else:
         level = (budget + float(np.sum(floors[:active]))) / active
-        # sum_{j in active} (f_j - f_i) == active * (level - f_i) - budget
-        slack = np.sum(floors[:active][None, :] - floors[:, None], axis=1)
-        alloc = np.maximum(0.0, (budget + slack) / active)
+        alloc[:active] = (floors[active - 1] - floors[:active]) \
+            + (budget - rho[active - 1]) / active
 
     return WaterfillSolution(
         water_level=level,

@@ -333,6 +333,23 @@ class TestNonFinite:
             assert err.startswith("error:")
 
 
+class TestOversized:
+    @pytest.mark.parametrize("args", [
+        ["mmi", "--arch", "fc:1000000000000,2", "--spectrum", "exp:0.1", "--F", "1"],
+        ["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1", "--F-grid", "0:1:1000000000"],
+        ["mmi", "--arch", "conv:2000000,1000000,2", "--spectrum", "harmonic", "--F", "1"],
+    ])
+    def test_rejected_before_allocating(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_huge_dims_that_build_nothing_large_still_run(self, capsys):
+        code, out, _ = run_cli(["mmi", "--arch", "conv:2000000000000,2,1000000000000",
+                                "--spectrum", "list:2,1", "--F", "1"], capsys)
+        assert code == 0 and parse_json(out)["rows"][0]["active_components"] == 2
+
+
 class TestBreakpointsChecks:
     def test_spectrum_length_mismatch_exits_2(self, capsys):
         code, out, err = run_cli(["breakpoints", "--arch", "fc:3,2",
@@ -343,15 +360,18 @@ class TestBreakpointsChecks:
 
 # Fuzzing main(): command lines and config files mixing valid and invalid
 # fragments; a flag value comes from its valid pool three times in four.  Every
-# dimension and grid size stays tiny, so no draw can ask for a large
-# allocation.
+# dimension and grid size is either tiny or far beyond the CLI's size bound, so
+# no accepted draw can ask for a large allocation.
 def valid_or_not(valid, invalid):
     return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(invalid))
 
 
 NUMBER_TEXT = valid_or_not(["0", "1", "2.5", "1e-3"], ["-1", "1e-300", "1e308", "nan", "inf", "x"])
 ARCH_TEXT = st.sampled_from(["fc:2,2", "fc:3,2", "fc:2", "fc:0,2", "fc:a,2", "conv:4,2,2",
-                             "conv:6,3,2", "conv:5,2,1", "mlp:3,1", "mlp:", "rnn:2,2"])
+                             "conv:6,3,2", "conv:5,2,1", "mlp:3,1", "mlp:", "rnn:2,2",
+                             "fc:1000000000000,2", "fc:2,1000000000000",
+                             "conv:2000000000000,1000000,2", "conv:2000000000000,2,2",
+                             "mlp:1000000000000,2"])
 SPECTRUM_TEXT = st.sampled_from(["list:2,1", "list:3,2,1", "list:1,1e-310", "list:nan,1",
                                  "list:0,1", "list:", "exp:0.5", "exp:nan", "exp:-1", "exp:",
                                  "harmonic", "file:{dir}/spec.json", "file:{dir}/cov.csv",
@@ -363,15 +383,16 @@ MODEL_FLAGS = st.one_of(
     st.tuples(ARCH_TEXT, SPECTRUM_TEXT))
 GRID_TEXT = st.one_of(
     st.builds(lambda lo, hi, n: f"{lo}:{hi}:{n}", NUMBER_TEXT, NUMBER_TEXT,
-              valid_or_not(["1", "3"], ["0", "-2", "x"])),
+              valid_or_not(["1", "3"], ["0", "-2", "x", "1000000000"])),
     st.sampled_from(["0:1", "::", ""]))
 SMALL_INT = st.integers(-1, 6)
-JSON_VALUE = st.one_of(st.none(), st.booleans(), SMALL_INT, st.floats(), st.text(max_size=3),
-                       st.lists(st.one_of(SMALL_INT, st.floats()), max_size=4))
+DIM = st.one_of(SMALL_INT, st.sampled_from([10**9, 10**12]))
+JSON_VALUE = st.one_of(st.none(), st.booleans(), DIM, st.floats(), st.text(max_size=3),
+                       st.lists(st.one_of(DIM, st.floats()), max_size=4))
 ARCH_DOC = st.fixed_dictionaries({"family": st.sampled_from(["fc", "conv", "mlp", "rnn"])},
-                                 optional={"n0": SMALL_INT, "n1": SMALL_INT,
-                                           "block": SMALL_INT, "filters": SMALL_INT,
-                                           "widths": st.lists(SMALL_INT, max_size=3),
+                                 optional={"n0": DIM, "n1": DIM,
+                                           "block": DIM, "filters": DIM,
+                                           "widths": st.lists(DIM, max_size=3),
                                            "activation": st.sampled_from(["relu", "swish"])})
 SPECTRUM_DOC = st.fixed_dictionaries({}, optional={
     "kind": st.sampled_from(["exp_decay", "harmonic", "explicit", "zipf"]),

@@ -1,11 +1,14 @@
 """Monte-Carlo estimators: calibration, activation checks, determinism."""
 
+import ast
+import inspect
 import math
 import os
 
 import numpy as np
 import pytest
 
+import mmicap.mc
 from mmicap import (
     ChannelParams,
     ConfigError,
@@ -344,3 +347,19 @@ class TestReluMatchesClosedFormSpectrum:
         closed = mmi_fc(ChannelParams(1.0, 2.0), dec.spectrum, 3, 2)
         w = build_optimal_weights(2.0, dec, 1.0, 2)
         assert exact_linear_mi(w, cov, 1.0) == pytest.approx(closed.nats, abs=1e-9)
+
+
+def test_mc_runtime_imports_are_estimator_layers_only():
+    tree = ast.parse(inspect.getsource(mmicap.mc))
+    type_only = {id(inner) for node in ast.walk(tree)
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+                 for stmt in node.body for inner in ast.walk(stmt)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and id(node) not in type_only:
+            names.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    project = {name.lstrip(".").removeprefix("mmicap.") for name in names
+               if name.startswith((".", "mmicap"))}
+    assert project <= {"errors", "spectrum"}, project

@@ -204,6 +204,33 @@ class TestMaximizeMiConv:
         assert result.nats <= closed.nats + 1e-9
 
 
+    @pytest.mark.parametrize("reps", [1, 4, 64])
+    def test_ascent_runs_on_one_block(self, reps):
+        rng = np.random.default_rng(19)
+        block_cov = random_cov(rng, 3)
+        block = BlockCovariance(block_cov, reps)
+        config = OptimizerConfig(seed=20, restarts=2, max_iters=500)
+        conv = maximize_mi_conv(2.0, block, 2, 1.0, config)
+        dense = maximize_mi(2.0, block_cov, 1.0, 2, config)
+        np.testing.assert_array_equal(conv.weights.entries, dense.weights.entries)
+        tiled = WeightMatrix(tile_filter(conv.weights.entries, reps))
+        assert conv.nats == pytest.approx(exact_linear_mi(tiled, block.expand(), 1.0),
+                                          abs=1e-12)
+
+    def test_expands_the_block_once(self, monkeypatch):
+        calls = []
+        expand = BlockCovariance.expand
+
+        def counting(self):
+            calls.append(1)
+            return expand(self)
+
+        monkeypatch.setattr(BlockCovariance, "expand", counting)
+        block = BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 8)
+        maximize_mi_conv(2.5, block, 2, 1.0, OptimizerConfig(seed=21, restarts=3))
+        assert len(calls) == 1
+
+
 class TestFactorCheckMultilayer:
     def test_identity_factorization(self):
         rng = np.random.default_rng(14)

@@ -1,5 +1,6 @@
 """Water-filling: breakpoints, regime lookup, and the allocation solver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -227,3 +228,26 @@ class TestSolveWaterfill:
         spec = model_spectrum("explicit", values=[1e-4, 9e-5])
         sol = solve_waterfill(1e-6, spec, 10.0, 2)
         assert abs(sol.budget_used - 1e-6) <= 1e-18
+
+
+class TestSolveWaterfillLarge:
+    def test_thousands_active_in_linear_memory(self):
+        # Harmonic spectrum: floor_i = i, so about 4000 of 20000 components
+        # are active at this budget; a pairwise n x active form needs ~640 MB.
+        n, budget = 20000, 8e6
+        spec = model_spectrum("harmonic", n)
+        floors = 1.0 / spec.values
+        tracemalloc.start()
+        try:
+            sol = solve_waterfill(budget, spec, 1.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        m = sol.active_count
+        assert 1000 < m < n
+        np.testing.assert_allclose(sol.allocations[:m], sol.water_level - floors[:m],
+                                   rtol=0, atol=1e-12 * sol.water_level)
+        assert np.all(sol.allocations[m:] == 0.0)
+        assert sol.water_level <= floors[m]
+        assert abs(sol.budget_used - budget) <= 1e-12 * budget
