@@ -8,14 +8,16 @@ mixture centres come from independent substreams of one seed, which keeps
 the plug-in bias one-sided and the estimates reproducible bit-for-bit.
 
 Worker parallelism for the density evaluation is capped by the MMI_THREADS
-environment variable (0 or unset picks a small automatic value); chunk
-boundaries are fixed, so results do not depend on the thread count.
+environment variable (0 or unset picks up to 4, no more than the CPUs the
+process may run on); chunk boundaries are fixed, so results do not depend on
+the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -28,8 +30,26 @@ from .spectrum import CovarianceMatrix
 if TYPE_CHECKING:
     from .oracle import WeightMatrix
 
-#: Upper limit on elements per distance-matrix chunk (keeps memory flat).
-_CHUNK_ELEMENTS = 1 << 22
+#: Upper limit on elements per exponent chunk: 1 MB of float64, so a chunk's
+#: product, exp and row sums all run in a core's L2 cache, and memory stays
+#: flat at one chunk per worker.
+_CHUNK_ELEMENTS = 1 << 17
+
+#: Worker pools by thread count, shared by every call in the process.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _forget_pools() -> None:
+    # A forked child inherits the pools but not their threads: work sent to
+    # them would never run.
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
 
 _INV_E = 1.0 / math.e
 
@@ -154,42 +174,67 @@ def _thread_count() -> int:
     if n < 0:
         raise ConfigError(f"MMI_THREADS must be non-negative, got {n}")
     if n == 0:
-        return min(4, os.cpu_count() or 1)
+        # the CPUs this process may run on, which can be fewer than the host's
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        return min(4, usable or 1)
     return n
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide worker pool for ``threads`` workers, made on first use."""
+    with _POOLS_LOCK:
+        pool = _POOLS.get(threads)
+        if pool is None:
+            pool = _POOLS[threads] = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix=f"mmicap-mc-{threads}")
+        return pool
 
 
 def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
                          noise_var: float) -> np.ndarray:
     """Log density of the uniform Gaussian mixture at each point.
 
-    Every exponent -(|p - c|^2) / (2 s) is non-positive, so the sum of
-    exponentials cannot overflow and needs no max-stabilization; a zero sum
-    means every component underflowed, which raises NumericalUnderflow.
-    Work happens in fixed-size chunks written into a preallocated array, so
-    the result is identical regardless of how many worker threads run.
+    For a chunk of points, the exponents -|p - c|^2 / (2 s) against every
+    centre come from one matrix product of the rows [p/s, -|p|^2/(2 s), 1]
+    with the columns [c; 1; -|c|^2/(2 s)]; exp and the row sums follow on the
+    same cache-sized chunk.  Points and centres are first moved by the mean
+    centre, which leaves every distance as it is and keeps the rounding of
+    the expanded square at the scale of the data's spread, not of its
+    distance from the origin.  Each exponent is non-positive up to that
+    rounding (a few ulps of |p|^2/(2 s)), so the sum of exponentials cannot
+    overflow and needs no max-stabilization; a zero sum means every
+    component underflowed, which raises NumericalUnderflow.
+    Chunk boundaries are fixed and each chunk writes its own slice of a
+    preallocated array, so the result is identical regardless of how many
+    worker threads run.
     """
     n_points, dim = points.shape
     n_centres = centres.shape[0]
-    centre_half_sq = 0.5 * np.einsum("ij,ij->i", centres, centres)
-    point_half_sq = 0.5 * np.einsum("ij,ij->i", points, points)
+    origin = centres.mean(axis=0)
+    points = points - origin
+    centres = centres - origin
+    lhs = np.empty((n_points, dim + 2))
+    lhs[:, :dim] = points / noise_var
+    lhs[:, dim] = -0.5 * np.einsum("ij,ij->i", points, points) / noise_var
+    lhs[:, dim + 1] = 1.0
+    rhs = np.empty((dim + 2, n_centres))
+    rhs[:dim] = centres.T
+    rhs[dim] = 1.0
+    rhs[dim + 1] = -0.5 * np.einsum("ij,ij->i", centres, centres) / noise_var
     sums = np.empty(n_points)
     rows = max(1, _CHUNK_ELEMENTS // n_centres)
     starts = range(0, n_points, rows)
 
     def fill(start: int) -> None:
         stop = min(start + rows, n_points)
-        # (p . c - |p|^2/2 - |c|^2/2) / s  ==  -|p - c|^2 / (2 s)
-        expo = points[start:stop] @ centres.T
-        expo -= point_half_sq[start:stop, None]
-        expo -= centre_half_sq[None, :]
-        expo /= noise_var
+        expo = lhs[start:stop] @ rhs
         np.exp(expo, out=expo)
         sums[start:stop] = expo.sum(axis=1)
 
     threads = _thread_count()
     if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
+        list(_pool(threads).map(fill, starts))
     else:
         for start in starts:
             fill(start)

@@ -3,10 +3,14 @@
 import ast
 import inspect
 import math
+import multiprocessing
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import mmicap.mc
 from mmicap import (
@@ -337,6 +341,140 @@ class TestDeterminism:
                 os.environ.pop("MMI_THREADS", None)
             else:
                 os.environ["MMI_THREADS"] = original
+
+
+def brute_force_log_density(points, centres, noise_var):
+    """Reference mixture log density from explicit squared distances."""
+    dim = points.shape[1]
+    sq = ((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+    return (logsumexp(-sq / (2.0 * noise_var), axis=1) - math.log(centres.shape[0])
+            - 0.5 * dim * math.log(2.0 * math.pi * noise_var))
+
+
+def kernel_inputs(seed, n_points, n_centres, dim, noise_var, shift=0.0):
+    """Mixture centres, and points drawn from the mixture as the estimators
+    draw them: an independent centre plus noise."""
+    rng = np.random.default_rng(seed)
+    centres = 1.5 * rng.standard_normal((n_centres, dim)) + shift
+    points = (1.5 * rng.standard_normal((n_points, dim)) + shift
+              + math.sqrt(noise_var) * rng.standard_normal((n_points, dim)))
+    return points, centres
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("noise_var", [0.05, 1.0, 5.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_brute_force_with_remainder_chunk(self, dim, noise_var):
+        n_centres = 700
+        rows = mmicap.mc._CHUNK_ELEMENTS // n_centres
+        n_points = 2 * rows + 5
+        assert n_points % rows != 0
+        points, centres = kernel_inputs(dim, n_points, n_centres, dim, noise_var)
+        got = mmicap.mc._mixture_log_density(points, centres, noise_var)
+        want = brute_force_log_density(points, centres, noise_var)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_one_row_chunks_when_centres_exceed_a_chunk(self):
+        n_centres = mmicap.mc._CHUNK_ELEMENTS + 3
+        points, centres = kernel_inputs(30, 7, n_centres, 2, 1.0)
+        got = mmicap.mc._mixture_log_density(points, centres, 1.0)
+        want = brute_force_log_density(points, centres, 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("noise_var", [0.05, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_far_from_origin(self, dim, noise_var):
+        # |p|^2 / 2s > 709 for most points: exp(-|p|^2 / 2s) underflows to
+        # zero, so a form that factors it out of the sum cannot give these
+        # values, and the expanded square must not round away the distances.
+        points, centres = kernel_inputs(40 + dim, 300, 400, dim, noise_var, shift=40.0)
+        half_sq = np.einsum("ij,ij->i", points, points) / (2.0 * noise_var)
+        assert np.median(half_sq) > 709.0
+        got = mmicap.mc._mixture_log_density(points, centres, noise_var)
+        want = brute_force_log_density(points, centres, noise_var)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestKernelWorkers:
+    def test_memory_stays_at_cache_sized_chunks(self, monkeypatch):
+        monkeypatch.setenv("MMI_THREADS", "2")
+        points, centres = kernel_inputs(50, 2000, 20_000, 3, 1.0)
+        tracemalloc.start()
+        try:
+            mmicap.mc._mixture_log_density(points, centres, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+    def test_pool_is_reused(self, monkeypatch):
+        def workers():
+            return {t for t in threading.enumerate() if t.name.startswith("mmicap-mc-2_")}
+
+        monkeypatch.setenv("MMI_THREADS", "2")
+        points, centres = kernel_inputs(51, 2000, 20_000, 2, 1.0)
+        mmicap.mc._mixture_log_density(points, centres, 1.0)
+        before, warm = threading.active_count(), workers()
+        mmicap.mc._mixture_log_density(points, centres, 1.0)
+        assert threading.active_count() == before
+        assert 1 <= len(warm) <= 2 and workers() == warm
+
+    def test_thread_count_read_on_every_call(self, monkeypatch):
+        requested = []
+        make_pool = mmicap.mc._pool
+        monkeypatch.setattr(mmicap.mc, "_pool",
+                            lambda threads: requested.append(threads) or make_pool(threads))
+        rows = mmicap.mc._CHUNK_ELEMENTS // 2000
+        points, centres = kernel_inputs(52, 3 * rows, 2000, 2, 1.0)
+        for threads in ("2", "3", "1", "2"):
+            monkeypatch.setenv("MMI_THREADS", threads)
+            mmicap.mc._mixture_log_density(points, centres, 1.0)
+        assert requested == [2, 3, 2]
+
+    def test_bit_identical_with_remainder_chunk(self, monkeypatch):
+        n_centres = 900
+        rows = mmicap.mc._CHUNK_ELEMENTS // n_centres
+        points, centres = kernel_inputs(53, 7 * rows + 3, n_centres, 3, 0.7)
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMI_THREADS", threads)
+            results.append(mmicap.mc._mixture_log_density(points, centres, 0.7))
+        assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_fresh_pools(self, monkeypatch):
+        monkeypatch.setenv("MMI_THREADS", "2")
+        points, centres = kernel_inputs(54, 500, 2000, 2, 1.0)
+        mmicap.mc._mixture_log_density(points, centres, 1.0)
+        child = multiprocessing.get_context("fork").Process(
+            target=mmicap.mc._mixture_log_density, args=(points, centres, 1.0))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+class TestThreadCount:
+    def test_auto_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("MMI_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert mmicap.mc._thread_count() == 2
+        monkeypatch.setenv("MMI_THREADS", "0")
+        assert mmicap.mc._thread_count() == 2
+        monkeypatch.setenv("MMI_THREADS", "7")
+        assert mmicap.mc._thread_count() == 7
+
+    def test_auto_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("MMI_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert mmicap.mc._thread_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mmicap.mc._thread_count() == 1
 
 
 class TestReluMatchesClosedFormSpectrum:
