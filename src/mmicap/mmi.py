@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeBudget, TargetUnreachable
-from .spectrum import BlockCovariance, Spectrum, eigvals_from_covariance
+from .spectrum import BlockCovariance, Spectrum, decompose_covariance
 from .waterfill import Breakpoints, breakpoints, regime
 
 ACTIVATIONS = ("linear", "relu", "bijective")
@@ -107,15 +107,16 @@ class ArchitectureSpec:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Noise variance of the output channel and the weight budget."""
+    """Noise variance of the output channel and the weight budget(s)."""
 
     noise_var: float
-    budget: float
+    budget: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not 0.0 < self.noise_var < math.inf:
             raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
-        if not 0.0 <= self.budget < math.inf:
+        budget = np.asarray(self.budget)
+        if not np.all((0.0 <= budget) & (budget < math.inf)):
             raise NegativeBudget(f"budget must be non-negative and finite, got {self.budget}")
 
 
@@ -125,7 +126,8 @@ class MmiResult:
 
     regime counts the components excluded from the active set;
     active_components = bottleneck - regime is the branch order of the
-    piecewise formula that produced ``nats``.
+    piecewise formula that produced ``nats``.  For an array of budgets,
+    ``nats``, ``regime`` and ``active_components`` are arrays over them.
     """
 
     nats: float
@@ -141,47 +143,77 @@ def _check_dims(**dims: int) -> None:
             raise DimensionMismatch(f"{name} must be a positive integer, got {value}")
 
 
-def mmi_formula(spectrum: Spectrum, noise_var: float, budget: float,
-                active_count: int) -> float:
-    """One branch of the piecewise capacity expression, in nats."""
-    m = active_count
-    spectrum._check_prefix(m)
-    t = spectrum.inverse_trace(m)
-    return 0.5 * m * math.log((budget + noise_var * t) / (noise_var * m)) \
+def mmi_formula(spectrum: Spectrum, noise_var: float, budget, active_count):
+    """One branch of the piecewise capacity expression in nats, elementwise
+    over arrays of budgets and active counts.  log(F + s*T_m) is taken as the
+    log of the larger term plus log1p of their ratio, so the value stays
+    finite wherever the capacity is."""
+    m = np.asarray(active_count)
+    floor_sum = noise_var * spectrum.inverse_trace(m)
+    larger = np.maximum(budget, floor_sum)
+    log_sum = np.log(larger) + np.log1p(np.minimum(budget, floor_sum) / larger)
+    nats = 0.5 * m * (log_sum - math.log(noise_var) - np.log(m)) \
         + 0.5 * spectrum.log_det(m)
+    return float(nats) if np.ndim(nats) == 0 else nats
+
+
+def _reduce(arch: ArchitectureSpec, source) -> tuple[Spectrum, int, int]:
+    """Spectrum, bottleneck and repetition count the closed form reads: ``source``
+    is a Spectrum, or for conv a BlockCovariance whose block is decomposed here."""
+    family = arch.family
+    if not isinstance(family, (FullyConnected, Convolutional, MultiLayer)):
+        raise DimensionMismatch(f"unknown architecture family {family!r}")
+    kind = BlockCovariance if isinstance(family, Convolutional) else Spectrum
+    if not isinstance(source, kind):
+        raise DimensionMismatch(f"{type(family).__name__} architectures take a "
+                                f"{kind.__name__} source, got {type(source).__name__}")
+    if isinstance(family, Convolutional):
+        if source.input_dim != family.input_dim or source.block.dim != family.block_size:
+            raise DimensionMismatch(
+                f"block covariance ({source.block.dim} x {source.repetitions}) does "
+                f"not match conv dims ({family.block_size} x {family.repetitions})")
+        return decompose_covariance(source.block).spectrum, family.bottleneck, \
+            source.repetitions
+    if isinstance(family, MultiLayer):
+        return source, family.bottleneck(len(source)), 1
+    if len(source) != family.input_dim:
+        raise DimensionMismatch(
+            f"spectrum has {len(source)} eigenvalues, input_dim is {family.input_dim}")
+    return source, family.bottleneck, 1
+
+
+def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiResult:
+    """Capacity of any architecture family at one budget or a 1-D array of them.
+
+    A convolutional capacity is repetitions times the dense capacity of one
+    block: the budget is shared by the single filter, not divided across
+    blocks.  The breakpoints are computed once for all budgets.
+    """
+    ChannelParams(noise_var, budget)
+    spectrum, n_tilde, repetitions = _reduce(arch, source)
+    bp = breakpoints(spectrum, noise_var, n_tilde)
+    budgets = np.asarray(budget, dtype=np.float64)
+    excluded = regime(budgets, bp)
+    active = n_tilde - excluded
+    nats = np.where(budgets == 0.0, 0.0,
+                    repetitions * mmi_formula(spectrum, noise_var, budgets, active))
+    nats = float(nats) if budgets.ndim == 0 else nats
+    return MmiResult(nats, excluded, bp, active, arch.activation)
 
 
 def mmi_fc(params: ChannelParams, spectrum: Spectrum, input_dim: int,
            hidden_dim: int, activation: str = "linear") -> MmiResult:
     """Capacity of the dense single-layer family."""
-    _check_dims(input_dim=input_dim, hidden_dim=hidden_dim)
-    if len(spectrum) != input_dim:
-        raise DimensionMismatch(
-            f"spectrum has {len(spectrum)} eigenvalues, input_dim is {input_dim}"
-        )
-    n_tilde = min(input_dim, hidden_dim)
-    bp = breakpoints(spectrum, params.noise_var, n_tilde)
-    excluded = regime(params.budget, bp)
-    active = n_tilde - excluded
-    if params.budget == 0.0:
-        nats = 0.0
-    else:
-        nats = mmi_formula(spectrum, params.noise_var, params.budget, active)
-    return MmiResult(nats, excluded, bp, active, activation)
+    arch = ArchitectureSpec(FullyConnected(input_dim, hidden_dim), activation)
+    return evaluate(arch, spectrum, params.noise_var, params.budget)
 
 
 def mmi_conv(params: ChannelParams, block: BlockCovariance,
              num_filters: int, activation: str = "linear") -> MmiResult:
-    """Capacity of the tied-filter convolutional family.
-
-    Equals repetitions times the dense capacity of one block; the budget is
-    shared by the single filter, not divided across blocks.
-    """
-    _check_dims(num_filters=num_filters)
-    block_spectrum = eigvals_from_covariance(block.block)
-    inner = mmi_fc(params, block_spectrum, block.block.dim, num_filters, activation)
-    return MmiResult(block.repetitions * inner.nats, inner.regime,
-                     inner.breakpoints, inner.active_components, activation)
+    """Capacity of the tied-filter convolutional family."""
+    arch = ArchitectureSpec(
+        Convolutional(block.input_dim, block.block.dim, num_filters), activation)
+    return evaluate(arch, block, params.noise_var, params.budget)
 
 
 def mmi_multilayer(params: ChannelParams, spectrum: Spectrum,
@@ -193,7 +225,8 @@ def mmi_multilayer(params: ChannelParams, spectrum: Spectrum,
     formula at hidden_dim = min(widths).
     """
     family = widths if isinstance(widths, MultiLayer) else MultiLayer(tuple(widths))
-    return mmi_fc(params, spectrum, len(spectrum), min(family.widths), activation)
+    return evaluate(ArchitectureSpec(family, activation), spectrum,
+                    params.noise_var, params.budget)
 
 
 def mmi_approx_large_n(spectrum: Spectrum, n_tilde: int) -> float:
@@ -204,44 +237,8 @@ def mmi_approx_large_n(spectrum: Spectrum, n_tilde: int) -> float:
     full-active-set branch with the budget term dropped; the error against
     that branch is (n_tilde/2) * log(1 + F / (noise_var * T)).
     """
-    spectrum._check_prefix(n_tilde)
     mean_reciprocal = spectrum.inverse_trace(n_tilde) / n_tilde
     return float(0.5 * np.sum(np.log(spectrum.values[:n_tilde] * mean_reciprocal)))
-
-
-def evaluate(arch: ArchitectureSpec, source, noise_var: float,
-             budget: float) -> MmiResult:
-    """Dispatch one capacity evaluation for any architecture family.
-
-    ``source`` is a Spectrum for dense and multilayer families and a
-    BlockCovariance for the convolutional family.
-    """
-    params = ChannelParams(noise_var, budget)
-    family = arch.family
-    if isinstance(family, FullyConnected):
-        _expect(source, Spectrum, "fully connected")
-        return mmi_fc(params, source, family.input_dim, family.hidden_dim,
-                      arch.activation)
-    if isinstance(family, Convolutional):
-        _expect(source, BlockCovariance, "convolutional")
-        if source.input_dim != family.input_dim or source.block.dim != family.block_size:
-            raise DimensionMismatch(
-                f"block covariance ({source.block.dim} x {source.repetitions}) does "
-                f"not match conv dims ({family.block_size} x {family.repetitions})"
-            )
-        return mmi_conv(params, source, family.num_filters, arch.activation)
-    if isinstance(family, MultiLayer):
-        _expect(source, Spectrum, "multilayer")
-        return mmi_multilayer(params, source, family, arch.activation)
-    raise DimensionMismatch(f"unknown architecture family {family!r}")
-
-
-def _expect(source, kind, label: str) -> None:
-    if not isinstance(source, kind):
-        raise DimensionMismatch(
-            f"{label} architectures take a {kind.__name__} source, "
-            f"got {type(source).__name__}"
-        )
 
 
 def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
@@ -252,31 +249,31 @@ def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
         raise DimensionMismatch("budget grid must be a non-empty 1-D sequence")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("budget grid must be ascending")
-    return [(float(f), evaluate(arch, source, noise_var, float(f))) for f in grid]
+    out = evaluate(arch, source, noise_var, grid)
+    return [(float(f), MmiResult(float(v), int(k), out.breakpoints, int(m), out.activation))
+            for f, v, k, m in zip(grid, out.nats, out.regime, out.active_components)]
 
 
 def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
                target_nats: float, budget_max: float = DEFAULT_BUDGET_MAX) -> float:
-    """Budget at which the capacity reaches ``target_nats``.
+    """Budget at which the capacity reaches ``target_nats``, in closed form.
 
-    Bisects the strictly increasing capacity curve on [0, budget_max] until
-    the value matches within 1e-9 nats.
+    With m components active the water level starts at the entering floor
+    s / lambda_m at the breakpoint rho_m, so inside that regime
+        C(F) = C(rho_m) + (r m / 2) log1p((F - rho_m) / (m s / lambda_m))
+    for r repetitions, which inverts without cancellation.  m is the number
+    of breakpoints whose capacity does not exceed the target.
     """
     if not target_nats > 0.0:
         raise ValueError(f"target_nats must be positive, got {target_nats}")
-    if evaluate(arch, source, noise_var, budget_max).nats < target_nats:
+    ceiling = evaluate(arch, source, noise_var, budget_max)
+    if ceiling.nats < target_nats:
         raise TargetUnreachable(
-            f"target {target_nats} nats exceeds the capacity at budget {budget_max}"
-        )
-    lo, hi = 0.0, float(budget_max)
-    mid = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = evaluate(arch, source, noise_var, mid).nats
-        if abs(value - target_nats) <= 1e-9:
-            return mid
-        if value < target_nats:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+            f"target {target_nats} nats exceeds the capacity at budget {budget_max}")
+    rho = ceiling.breakpoints.values
+    at_rho = evaluate(arch, source, noise_var, rho).nats
+    m = int(np.count_nonzero(at_rho <= target_nats))
+    spectrum, _, repetitions = _reduce(arch, source)
+    level = noise_var / spectrum.values[m - 1]
+    return float(rho[m - 1] + m * level * math.expm1(
+        2.0 * (target_nats - at_rho[m - 1]) / (repetitions * m)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, InfeasibleFactorization, MmicapError
 from .spectrum import (
@@ -96,15 +95,15 @@ class OptimizeResult:
 
 
 def _mi_value(w: np.ndarray, cov: np.ndarray, noise_var: float):
-    """Cholesky factor of Id + W C W^T / s along with the MI in nats."""
+    """Lower Cholesky factor of Id + W C W^T / s along with the MI in nats."""
     m = np.eye(w.shape[0]) + (w @ cov @ w.T) / noise_var
     m = 0.5 * (m + m.T)
     try:
-        factor = cho_factor(m, lower=True, check_finite=False)
+        factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         # Id + PSD is positive definite; a failed pivot is a numerics bug.
         raise MmicapError(f"positive-definite factorization failed: {exc}") from exc
-    nats = float(np.sum(np.log(np.diag(factor[0]))))
+    nats = float(np.sum(np.log(np.diag(factor))))
     return factor, nats
 
 
@@ -126,7 +125,7 @@ def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
 
 def _gradient(w: np.ndarray, factor, cov: np.ndarray, noise_var: float) -> np.ndarray:
     """(Id + W C W^T / s)^{-1} W C / s, given the Cholesky factor from _mi_value."""
-    return cho_solve(factor, w @ cov, check_finite=False) / noise_var
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, w @ cov)) / noise_var
 
 
 def mi_gradient(weights: WeightMatrix, cov: CovarianceMatrix,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +44,13 @@ class Spectrum:
     """Strictly positive covariance eigenvalues, sorted descending.
 
     Component indices are 1-based in every user-facing API (index 1 is the
-    largest eigenvalue).
+    largest eigenvalue).  The prefix sums of reciprocal and log eigenvalues
+    that every closed-form branch reads are computed once, at construction.
     """
 
     values: np.ndarray
+    _inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -62,25 +65,28 @@ class Spectrum:
         if np.any(np.diff(vals) > 0.0):
             raise ValueError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "values", _frozen_array(vals))
+        # A running sum adds up to n * eps of rounding; accumulating in extended
+        # precision (where the platform has it) keeps each prefix correctly rounded.
+        for name, terms in (("_inverse_prefix", 1.0 / vals), ("_log_prefix", np.log(vals))):
+            object.__setattr__(self, name, _frozen_array(np.cumsum(terms, dtype=np.longdouble)))
 
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def _check_prefix(self, count: int) -> None:
-        if not 1 <= count <= len(self):
-            raise IndexOutOfRange(
-                f"component count {count} outside [1, {len(self)}]"
-            )
+    def _prefix(self, sums: np.ndarray, count):
+        counts = np.asarray(count)
+        if not np.all((1 <= counts) & (counts <= len(self))):
+            raise IndexOutOfRange(f"component count {count} outside [1, {len(self)}]")
+        out = sums[counts - 1]
+        return float(out) if out.ndim == 0 else out
 
-    def inverse_trace(self, count: int) -> float:
-        """Sum of reciprocal eigenvalues over the leading ``count`` entries."""
-        self._check_prefix(count)
-        return float(np.sum(1.0 / self.values[:count]))
+    def inverse_trace(self, count):
+        """Sum of 1 / lambda over the leading ``count`` entries (elementwise)."""
+        return self._prefix(self._inverse_prefix, count)
 
-    def log_det(self, count: int) -> float:
-        """Sum of log-eigenvalues over the leading ``count`` entries."""
-        self._check_prefix(count)
-        return float(np.sum(np.log(self.values[:count])))
+    def log_det(self, count):
+        """Sum of log lambda over the leading ``count`` entries (elementwise)."""
+        return self._prefix(self._log_prefix, count)
 
 
 @dataclass(frozen=True)

@@ -52,21 +52,17 @@ class WaterfillSolution:
         object.__setattr__(self, "allocations", _frozen_array(self.allocations))
 
 
-def _floors(spectrum: Spectrum, noise_var: float, count: int) -> np.ndarray:
+def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
+    if not 1 <= n_tilde <= len(spectrum):
+        raise IndexOutOfRange(f"component count {n_tilde} outside [1, {len(spectrum)}]")
     if noise_var <= 0.0:
         raise ValueError("noise_var must be positive")
     # The smallest eigenvalue of the prefix gives the largest floor.
-    if not math.isfinite(noise_var / float(spectrum.values[count - 1])):
+    if not math.isfinite(noise_var / float(spectrum.values[n_tilde - 1])):
         raise NonPositiveEigenvalue(
             f"noise_var / eigenvalue overflows for noise_var {noise_var} and "
-            f"eigenvalue {spectrum.values[count - 1]}")
-    return noise_var / spectrum.values[:count]
-
-
-def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
-    if not 1 <= n_tilde <= len(spectrum):
-        raise IndexOutOfRange(f"n_tilde {n_tilde} outside [1, {len(spectrum)}]")
-    floors = _floors(spectrum, noise_var, n_tilde)
+            f"eigenvalue {spectrum.values[n_tilde - 1]}")
+    floors = noise_var / spectrum.values[:n_tilde]
     steps = np.arange(1, n_tilde, dtype=np.float64) * np.diff(floors)
     return floors, np.concatenate(([0.0], np.cumsum(steps)))
 
@@ -85,23 +81,21 @@ def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoin
 
 def breakpoint_value(spectrum: Spectrum, noise_var: float, k: int) -> float:
     """The budget at which component ``k`` (1-based) enters the active set."""
-    if not 1 <= k <= len(spectrum):
-        raise IndexOutOfRange(f"component index {k} outside [1, {len(spectrum)}]")
     return float(breakpoints(spectrum, noise_var, k).values[-1])
 
 
-def regime(budget: float, bp: Breakpoints) -> int:
+def regime(budget, bp: Breakpoints):
     """Number of trailing components excluded from the active set.
 
     Returns the smallest K >= 0 with budget >= breakpoint[n - K]; ties use
     exact floating comparison and resolve toward the larger active set (the
     adjacent capacity branches agree at every breakpoint, so the choice
-    never changes the value).
+    never changes the value).  An array of budgets gives an array of K.
     """
-    if budget < 0.0:
+    if np.any(np.asarray(budget) < 0.0):
         raise NegativeBudget(f"budget must be non-negative, got {budget}")
-    n = len(bp)
-    return n - int(np.searchsorted(bp.values, budget, side="right"))
+    excluded = len(bp) - np.searchsorted(bp.values, budget, side="right")
+    return int(excluded) if np.ndim(excluded) == 0 else excluded
 
 
 def solve_waterfill(budget: float, spectrum: Spectrum, noise_var: float,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mmicap
 from mmicap import (
     ArchitectureSpec,
     BlockCovariance,
@@ -305,3 +306,118 @@ class TestArchitectureSpec:
     def test_bad_activation(self):
         with pytest.raises(DimensionMismatch):
             ArchitectureSpec(FullyConnected(2, 2), "swish")
+
+
+def rotated_block(rng, values, repetitions):
+    q, _ = np.linalg.qr(rng.standard_normal((values.size, values.size)))
+    return BlockCovariance(CovarianceMatrix((q * values) @ q.T), repetitions)
+
+
+def counting(monkeypatch, name):
+    """Replace mmicap.mmi.<name> by a wrapper that counts its calls."""
+    original, calls = getattr(mmicap.mmi, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmicap.mmi, name, wrapper)
+    return calls
+
+
+def families(rng):
+    spec = random_spectrum(rng, 12)
+    block_values = np.sort(np.exp(rng.uniform(-2.0, 2.0, 6)))[::-1]
+    return [
+        (ArchitectureSpec(FullyConnected(12, 7)), spec, 7),
+        (ArchitectureSpec(Convolutional(24, 6, 4)), rotated_block(rng, block_values, 4), 4),
+        (ArchitectureSpec(MultiLayer((9, 5, 11))), spec, 5),
+    ]
+
+
+class TestArrayEvaluate:
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(31)
+        for arch, source, n_tilde in families(rng):
+            rho = evaluate(arch, source, 1.0, 0.0).breakpoints.values
+            budgets = np.sort(np.concatenate(
+                ([0.0], rho, rng.uniform(0.0, 2.0 * rho[-1] + 1.0, 20))))
+            together = evaluate(arch, source, 1.0, budgets)
+            assert together.nats.shape == together.regime.shape == budgets.shape
+            for i, budget in enumerate(budgets):
+                alone = evaluate(arch, source, 1.0, float(budget))
+                assert together.nats[i] == pytest.approx(alone.nats, rel=1e-12, abs=0.0)
+                assert together.regime[i] == alone.regime
+                assert together.active_components[i] == alone.active_components
+                assert alone.regime + alone.active_components == n_tilde
+            assert together.nats[0] == 0.0
+
+    def test_scalar_budget_gives_python_numbers(self):
+        result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5)
+        assert type(result.nats) is float
+        assert type(result.regime) is int and type(result.active_components) is int
+        [(budget, point)] = mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE,
+                                      1.0, [2.5])
+        assert type(budget) is float and type(point.nats) is float
+        assert type(point.regime) is int and type(point.active_components) is int
+
+    def test_conv_curve_decomposes_the_block_once(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        block = rotated_block(rng, np.sort(np.exp(rng.uniform(-2.0, 2.0, 64)))[::-1], 16)
+        calls = counting(monkeypatch, "decompose_covariance")
+        arch = ArchitectureSpec(Convolutional(1024, 64, 32))
+        points = mmi_curve(arch, block, 1.0, np.linspace(0.0, 50.0, 400))
+        assert len(points) == 400 and len(calls) == 1
+
+    def test_huge_budget_with_tiny_noise_stays_finite(self):
+        # (F + s T) / (s m) = 5e607 overflows a double, yet with m = 2 the
+        # capacity is just log(5e607) plus the log-det term (1/2) log 2
+        result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1e-300, 1e308)
+        expected = 607.0 * math.log(10.0) + math.log(5.0) + 0.5 * math.log(2.0)
+        assert result.nats == pytest.approx(1399.6251629501, rel=1e-12)
+        assert result.nats == pytest.approx(expected, rel=1e-12)
+
+
+class TestClosedFormInversion:
+    def assert_round_trips(self, monkeypatch, arch, source, targets, budget_max):
+        for target in targets:
+            calls = counting(monkeypatch, "evaluate")
+            budget = invert_mmi(arch, source, 1.0, target, budget_max=budget_max)
+            assert len(calls) <= 2
+            monkeypatch.undo()
+            assert abs(evaluate(arch, source, 1.0, budget).nats - target) <= 1e-9
+
+    def every_regime(self, arch, source, budget_max):
+        """A target inside each regime and one on each positive breakpoint."""
+        rho = evaluate(arch, source, 1.0, 0.0).breakpoints.values
+        inside = np.append(0.5 * (rho[:-1] + rho[1:]), 0.5 * (rho[-1] + budget_max))
+        budgets = np.concatenate((inside, rho[1:]))
+        return evaluate(arch, source, 1.0, budgets[budgets > 0.0]).nats
+
+    def test_random_spectrum_every_regime(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        arch, spec = ArchitectureSpec(FullyConnected(12, 12)), random_spectrum(rng, 12)
+        budget_max = 10.0 * breakpoints(spec, 1.0, 12).values[-1]
+        targets = self.every_regime(arch, spec, budget_max)
+        assert targets.size == 2 * 12 - 1
+        self.assert_round_trips(monkeypatch, arch, spec, targets, budget_max)
+
+    def test_conv_every_regime(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        block = rotated_block(rng, np.sort(np.exp(rng.uniform(-2.0, 2.0, 8)))[::-1], 5)
+        arch = ArchitectureSpec(Convolutional(40, 8, 6))
+        targets = self.every_regime(arch, block, 100.0)
+        self.assert_round_trips(monkeypatch, arch, block, targets, 100.0)
+
+    def test_wide_harmonic_spectrum(self, monkeypatch):
+        n = 100_000
+        spec, arch = model_spectrum("harmonic", n), ArchitectureSpec(FullyConnected(n, n))
+        rho = breakpoints(spec, 1.0, n).values
+        budgets = np.concatenate((rho[[1, 10, 999, n - 1]], [0.3, 123.4, 2.0 * rho[-1]]))
+        targets = evaluate(arch, spec, 1.0, budgets).nats
+        self.assert_round_trips(monkeypatch, arch, spec, targets, 4.0 * rho[-1])
+
+    def test_target_on_a_breakpoint_returns_it(self):
+        arch = ArchitectureSpec(FullyConnected(2, 2))
+        assert invert_mmi(arch, TWO_ONE, 1.0, 0.5 * math.log(2.0)) == pytest.approx(
+            0.5, rel=1e-14)

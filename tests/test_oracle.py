@@ -1,10 +1,13 @@
 """Oracles: exact MI, optimal-weight construction, constrained ascent."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmicap
 from mmicap import (
     BlockCovariance,
     ChannelParams,
@@ -289,3 +292,16 @@ class TestWeightMatrix:
         w = WeightMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             w.entries[0, 0] = 9.0
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    for path in sorted(Path(mmicap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)

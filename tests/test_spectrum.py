@@ -12,6 +12,7 @@ from mmicap import (
     BlockCovariance,
     ConfigError,
     CovarianceMatrix,
+    IndexOutOfRange,
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
@@ -156,6 +157,22 @@ class TestSpectrumInvariants:
         spec = model_spectrum("explicit", values=[4.0, 2.0, 1.0])
         assert spec.inverse_trace(2) == 0.25 + 0.5
         assert spec.log_det(3) == pytest.approx(math.log(8.0), abs=1e-15)
+
+    def test_prefix_sums_take_arrays_of_counts(self):
+        n = 20_000
+        spec = model_spectrum("harmonic", n)
+        counts = np.array([1, 2, 7, 129, 4096, n - 1, n])
+        for lookup, terms in ((spec.inverse_trace, 1.0 / spec.values),
+                              (spec.log_det, np.log(spec.values))):
+            together = lookup(counts)
+            # a running sum in the accumulator's precision, rounded once
+            bound = n * float(np.finfo(np.longdouble).eps) + np.finfo(np.float64).eps
+            for k, value in zip(counts, together):
+                assert value == lookup(int(k))
+                exact = math.fsum(terms[:k])
+                assert abs(value - exact) <= bound * math.fsum(np.abs(terms[:k]))
+        with pytest.raises(IndexOutOfRange):
+            spec.log_det(np.array([1, n + 1]))
 
     @given(st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=32))
     @settings(max_examples=150, deadline=None)
