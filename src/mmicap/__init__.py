@@ -21,8 +21,6 @@ from .errors import (
     TargetUnreachable,
 )
 from .mc import (
-    TANH,
-    Bijection,
     ChannelModel,
     MCConfig,
     MCEstimate,

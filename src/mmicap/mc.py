@@ -19,8 +19,8 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,35 +61,18 @@ def _tanh_log_deriv(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Bijection:
-    """Coordinatewise strictly monotone activation with its log-derivative.
-
-    ``log_deriv`` must return log |phi'(a)| elementwise; it is the only part
-    of the activation the entropy accounting needs.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    log_deriv: Callable[[np.ndarray], np.ndarray]
-
-
-TANH = Bijection("tanh", np.tanh, _tanh_log_deriv)
-
-
-@dataclass(frozen=True)
 class ChannelModel:
     """A noisy single-layer channel: mean map plus isotropic Gaussian noise.
 
     linear     z = W x + b + eta
     relu       z = relu(W x + b) + eta
-    bijective  z = phi(a), a = W x + b + eta   (noise on the pre-activation)
+    bijective  z = tanh(a), a = W x + b + eta   (noise on the pre-activation)
     """
 
     weights: WeightMatrix
     bias: np.ndarray
     noise_var: float
     activation: str = "linear"
-    bijection: Bijection | None = None
 
     def __post_init__(self) -> None:
         bias = np.asarray(self.bias, dtype=np.float64)
@@ -101,8 +84,6 @@ class ChannelModel:
             raise ValueError("noise_var must be positive")
         if self.activation not in ("linear", "relu", "bijective"):
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.activation == "bijective" and self.bijection is None:
-            raise ConfigError("bijective channels need a Bijection")
         object.__setattr__(self, "bias", bias)
 
     @property
@@ -128,9 +109,8 @@ def relu_channel(weights: WeightMatrix, bias, noise_var: float) -> ChannelModel:
     return ChannelModel(weights, bias, noise_var, "relu")
 
 
-def bijective_channel(weights: WeightMatrix, bias, noise_var: float,
-                      bijection: Bijection = TANH) -> ChannelModel:
-    return ChannelModel(weights, bias, noise_var, "bijective", bijection)
+def bijective_channel(weights: WeightMatrix, bias, noise_var: float) -> ChannelModel:
+    return ChannelModel(weights, bias, noise_var, "bijective")
 
 
 @dataclass(frozen=True)
@@ -264,9 +244,9 @@ def _entropy_contributions(model: ChannelModel, cov: CovarianceMatrix,
     points = model.mean(x_outer) + noise
     contributions = -_mixture_log_density(points, model.mean(x_inner), model.noise_var)
     if model.activation == "bijective":
-        # Change of variables: H(phi(A)) = H(A) + E[log |det Dphi(A)|],
+        # Change of variables: H(tanh(A)) = H(A) + E[log |det Dtanh(A)|],
         # estimated on the same marginal pre-activation samples.
-        contributions = contributions + model.bijection.log_deriv(points).sum(axis=1)
+        contributions = contributions + _tanh_log_deriv(points).sum(axis=1)
     return contributions
 
 
@@ -308,7 +288,7 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
         x = sample_gaussian_inputs(cov, mc.n_outer, rng)
         noise = rng.standard_normal((mc.n_outer, model.hidden_dim)) \
             * math.sqrt(model.noise_var)
-        log_dets = model.bijection.log_deriv(model.preactivation(x) + noise).sum(axis=1)
+        log_dets = _tanh_log_deriv(model.preactivation(x) + noise).sum(axis=1)
         corr, corr_se = _mean_se(log_dets)
         cond += corr
         se = math.hypot(se, corr_se)
@@ -359,13 +339,8 @@ def verify_entropy_ordering(model: ChannelModel, cov: CovarianceMatrix,
     linear twin's, using common random numbers for variance reduction."""
     if model.activation != "relu":
         raise ConfigError("verify_entropy_ordering takes a relu channel")
-    x_inner, x_outer, noise = _draw(model, cov, mc)
-    pre_inner = model.preactivation(x_inner)
-    pre_outer = model.preactivation(x_outer)
-
-    h_linear = -_mixture_log_density(pre_outer + noise, pre_inner, model.noise_var)
-    h_relu = -_mixture_log_density(np.maximum(pre_outer, 0.0) + noise,
-                                   np.maximum(pre_inner, 0.0), model.noise_var)
+    h_relu = _entropy_contributions(model, cov, mc)
+    h_linear = _entropy_contributions(replace(model, activation="linear"), cov, mc)
     lin_value, lin_se = _mean_se(h_linear)
     relu_value, relu_se = _mean_se(h_relu)
     diff_value, diff_se = _mean_se(h_relu - h_linear)

@@ -145,15 +145,15 @@ def _check_dims(**dims: int) -> None:
 
 def mmi_formula(spectrum: Spectrum, noise_var: float, budget, active_count):
     """One branch of the piecewise capacity expression in nats, elementwise
-    over arrays of budgets and active counts.  log(F + s*T_m) is taken as the
-    log of the larger term plus log1p of their ratio, so the value stays
-    finite wherever the capacity is."""
+    over arrays of budgets and active counts.  Taken as (m/2) logaddexp(0,
+    log(F / (s T_m))) + (1/2)(m log(T_m / m) + log det_m), in which s enters
+    through one log ratio, so the value is finite wherever the capacity is."""
     m = np.asarray(active_count)
-    floor_sum = noise_var * spectrum.inverse_trace(m)
-    larger = np.maximum(budget, floor_sum)
-    log_sum = np.log(larger) + np.log1p(np.minimum(budget, floor_sum) / larger)
-    nats = 0.5 * m * (log_sum - math.log(noise_var) - np.log(m)) \
-        + 0.5 * spectrum.log_det(m)
+    log_trace = np.log(spectrum.inverse_trace(m))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(budget) - math.log(noise_var) - log_trace
+    nats = 0.5 * m * np.logaddexp(0.0, log_ratio) \
+        + 0.5 * (m * (log_trace - np.log(m)) + spectrum.log_det(m))
     return float(nats) if np.ndim(nats) == 0 else nats
 
 
@@ -258,22 +258,23 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
                target_nats: float, budget_max: float = DEFAULT_BUDGET_MAX) -> float:
     """Budget at which the capacity reaches ``target_nats``, in closed form.
 
-    With m components active the water level starts at the entering floor
-    s / lambda_m at the breakpoint rho_m, so inside that regime
-        C(F) = C(rho_m) + (r m / 2) log1p((F - rho_m) / (m s / lambda_m))
-    for r repetitions, which inverts without cancellation.  m is the number
-    of breakpoints whose capacity does not exceed the target.
+    Every family is r times a dense capacity, inverted here at target / r.
+    With m components active the water level starts at s / lambda_m at the
+    breakpoint rho_m, so in that regime C(F) = C(rho_m) + (m / 2) log1p((F -
+    rho_m) / (m s / lambda_m)), which inverts without cancellation; m is the
+    number of breakpoints whose capacity does not exceed the target.
     """
     if not target_nats > 0.0:
         raise ValueError(f"target_nats must be positive, got {target_nats}")
-    ceiling = evaluate(arch, source, noise_var, budget_max)
-    if ceiling.nats < target_nats:
+    spectrum, n_tilde, repetitions = _reduce(arch, source)
+    dense = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
+    target = target_nats / repetitions
+    ceiling = evaluate(dense, spectrum, noise_var, budget_max)
+    if ceiling.nats < target:
         raise TargetUnreachable(
             f"target {target_nats} nats exceeds the capacity at budget {budget_max}")
     rho = ceiling.breakpoints.values
-    at_rho = evaluate(arch, source, noise_var, rho).nats
-    m = int(np.count_nonzero(at_rho <= target_nats))
-    spectrum, _, repetitions = _reduce(arch, source)
+    at_rho = evaluate(dense, spectrum, noise_var, rho).nats
+    m = int(np.count_nonzero(at_rho <= target))
     level = noise_var / spectrum.values[m - 1]
-    return float(rho[m - 1] + m * level * math.expm1(
-        2.0 * (target_nats - at_rho[m - 1]) / (repetitions * m)))
+    return float(rho[m - 1] + m * level * math.expm1(2.0 * (target - at_rho[m - 1]) / m))

@@ -155,53 +155,37 @@ def build_optimal_weights(budget: float, decomposition: SpectralDecomposition,
     return WeightMatrix(w)
 
 
-def _project(w: np.ndarray, budget: float) -> np.ndarray:
-    """Radial rescaling onto the squared-Frobenius ball of radius budget."""
-    sq = float(np.sum(w * w))
-    if sq > budget > 0.0:
-        return w * np.sqrt(budget / sq)
-    return w
-
-
 def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             config: OptimizerConfig):
-    """One projected-gradient run on the exact MI of ``w`` against ``cov``;
-    returns (w, nats, converged, iters, grad_norm).
+    """One projected-gradient run on the exact MI against ``cov`` from ``w`` on
+    the budget sphere; returns (w, nats, converged, iters, grad_norm).
 
-    The accepted line-search step carries over (doubled) into the next
-    iteration, so the search rarely backtracks more than once.
+    There <grad, W> = Tr(M^-1 W C W^T) / s > 0: each step leaves the sphere
+    outward and is rescaled back, and convergence is measured on the
+    tangential residual.  The accepted step carries over (doubled) into the
+    next iteration, so the search rarely backtracks more than once.
     """
     factor, value = _mi_value(w, cov, noise_var)
     grad_norm = np.inf
-    iterations = 0
     step = config.step_size
     for iterations in range(config.max_iters):
         grad = _gradient(w, factor, cov, noise_var)
-        # At the constrained optimum the gradient is radial (pointing
-        # outward), so convergence is measured on the tangential residual.
-        w_sq = float(np.sum(w * w))
-        if w_sq >= budget * (1.0 - 1e-12):
-            radial = float(np.sum(grad * w)) / w_sq
-            projected = grad - max(radial, 0.0) * w
-        else:
-            projected = grad
-        grad_norm = float(np.linalg.norm(projected))
+        radial = float(np.sum(grad * w)) / float(np.sum(w * w))
+        grad_norm = float(np.linalg.norm(grad - radial * w))
         if grad_norm <= config.tolerance:
             return w, value, True, iterations, grad_norm
         step = min(2.0 * step, 1e6 * config.step_size)
-        improved = False
         while step > 1e-18:
-            candidate = _project(w + step * grad, budget)
+            candidate = w + step * grad
+            candidate *= np.sqrt(budget / np.sum(candidate * candidate))
             cand_factor, cand_value = _mi_value(candidate, cov, noise_var)
             if cand_value >= value + ARMIJO_C * step * grad_norm ** 2:
                 w, value, factor = candidate, cand_value, cand_factor
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            # Line search exhausted at machine precision; report whether the
-            # stationarity tolerance was met.
-            return w, value, grad_norm <= config.tolerance, iterations, grad_norm
+        else:
+            # Line search exhausted at machine precision, short of tolerance.
+            return w, value, False, iterations, grad_norm
     return w, value, False, config.max_iters, grad_norm
 
 

@@ -199,8 +199,6 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
         arr = np.asarray(values, dtype=np.float64)
         if n is not None and n != arr.size:
             raise ConfigError(f"explicit spectrum has {arr.size} values, n={n}")
-        if arr.size and np.any(~np.isfinite(arr) | (arr <= 0.0)):
-            raise NonPositiveEigenvalue("explicit spectrum entries must be positive")
         return Spectrum(np.sort(arr)[::-1])
     raise ConfigError(f"unknown spectrum kind {kind!r}")
 

@@ -102,26 +102,20 @@ def solve_waterfill(budget: float, spectrum: Spectrum, noise_var: float,
                     n_tilde: int) -> WaterfillSolution:
     """Optimal allocation of ``budget`` across the leading components.
 
-    The water level is (budget + sum of active floors) / active_set_size and
-    each allocation is max(0, level - floor).  With m components active,
-    level - f_i is evaluated as (f_m - f_i) + (budget - rho_m) / m, where
-    rho_m is the m-th breakpoint: both terms are non-negative, so nothing
-    cancels when the budget is tiny against the floor scale, and the budget
-    stays exactly saturated to ~1e-13 relative in O(n) time and memory.
+    With m components active the water level (budget + sum_{i<=m} f_i) / m
+    equals f_m + (budget - rho_m) / m, rho_m being the m-th breakpoint, and
+    each allocation level - f_i is evaluated as (f_m - f_i) + (budget - rho_m)
+    / m: both terms are non-negative, so nothing cancels when the budget is
+    tiny against the floor scale, and the budget stays exactly saturated to
+    ~1e-13 relative in O(n) time and memory.
     """
     floors, rho = _floors_and_breakpoints(spectrum, noise_var, n_tilde)
     active = n_tilde - regime(budget, Breakpoints(rho))
+    rise = (budget - rho[active - 1]) / active
     alloc = np.zeros(n_tilde)
-
-    if budget == 0.0:
-        level = float(floors[0])
-    else:
-        level = (budget + float(np.sum(floors[:active]))) / active
-        alloc[:active] = (floors[active - 1] - floors[:active]) \
-            + (budget - rho[active - 1]) / active
-
+    alloc[:active] = (floors[active - 1] - floors[:active]) + rise
     return WaterfillSolution(
-        water_level=level,
+        water_level=float(floors[active - 1] + rise),
         allocations=alloc,
         active_count=int(np.count_nonzero(alloc > 0.0)),
         budget_used=float(np.sum(alloc)),

@@ -339,6 +339,14 @@ class TestNonFinite:
                 header, row = stdout.strip().splitlines()
                 assert float(row.split(",")[header.split(",").index("mmi")]) == 1399.62516
 
+    def test_huge_noise_variance_gives_finite_capacity(self, capsys):
+        # s T_m = 3e308 overflows a double; the capacity, about 5e-309 nats, does not
+        code, out, err = run_cli(["mmi", "--arch", "fc:3,3", "--spectrum", "list:1,1,1",
+                                  "--F", "1", "--sigma2", "1e308"], capsys)
+        assert code == 0 and err == ""
+        value = parse_json(out)["rows"][0]["mmi"]
+        assert math.isfinite(value) and value == pytest.approx(5e-309, rel=1e-6)
+
 
 class TestOversized:
     @pytest.mark.parametrize("args", [

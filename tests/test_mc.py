@@ -278,6 +278,24 @@ class TestEntropyOrdering:
         assert row["h_relu"] < row["h_linear"] - 0.3
         assert report["pass"]
 
+    def test_report_values_pinned(self):
+        # both channels read the same draws of the seed, so every figure of
+        # the report is reproducible bit for bit
+        rng = np.random.default_rng(71)
+        cov = random_cov(rng, 3)
+        model = relu_channel(WeightMatrix(rng.standard_normal((2, 3))),
+                             rng.uniform(-1, 1, size=2), 0.5)
+        report = verify_entropy_ordering(model, cov, MCConfig(500, 500, seed=72))
+        assert report["rows"] == [{
+            "h_linear": 2.60141903743729,
+            "se_linear": 0.041978384552446076,
+            "h_relu": 2.2795007564838925,
+            "se_relu": 0.0454530444781569,
+            "difference": -0.3219182809533975,
+            "se_difference": 0.029642086282320533,
+        }]
+        assert report["pass"]
+
 
 class TestReluTheoremReport:
     def test_report_schema_and_pass(self):

@@ -377,6 +377,16 @@ class TestArrayEvaluate:
         assert result.nats == pytest.approx(1399.6251629501, rel=1e-12)
         assert result.nats == pytest.approx(expected, rel=1e-12)
 
+    def test_huge_noise_variance_stays_accurate(self):
+        # s T_m = 3e300 dwarfs F = 1e290: the capacity is (3/2) log1p(F / (3 s))
+        ones = model_spectrum("explicit", values=[1.0, 1.0, 1.0])
+        arch = ArchitectureSpec(FullyConnected(3, 3))
+        result = evaluate(arch, ones, 1e300, 1e290)
+        assert result.nats == pytest.approx(1.5 * math.log1p(1e-10 / 3.0), rel=1e-9, abs=0.0)
+        # s T_m = 3e308 overflows a double; the capacity is about 5e-309
+        tiny = evaluate(arch, ones, 1e308, 1.0).nats
+        assert math.isfinite(tiny) and tiny == pytest.approx(5e-309, rel=1e-9, abs=0.0)
+
 
 class TestClosedFormInversion:
     def assert_round_trips(self, monkeypatch, arch, source, targets, budget_max):
@@ -408,6 +418,17 @@ class TestClosedFormInversion:
         arch = ArchitectureSpec(Convolutional(40, 8, 6))
         targets = self.every_regime(arch, block, 100.0)
         self.assert_round_trips(monkeypatch, arch, block, targets, 100.0)
+
+    def test_conv_inversion_decomposes_the_block_once(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        block = rotated_block(rng, np.sort(np.exp(rng.uniform(-2.0, 2.0, 8)))[::-1], 5)
+        arch = ArchitectureSpec(Convolutional(40, 8, 6))
+        target = 0.5 * evaluate(arch, block, 1.0, 10.0).nats
+        calls = counting(monkeypatch, "decompose_covariance")
+        budget = invert_mmi(arch, block, 1.0, target, budget_max=100.0)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert abs(evaluate(arch, block, 1.0, budget).nats - target) <= 1e-9
 
     def test_wide_harmonic_spectrum(self, monkeypatch):
         n = 100_000

@@ -176,6 +176,17 @@ class TestMaximizeMi:
                 w = random_weights_on_sphere(rng, n1, n0, budget)
                 assert exact_linear_mi(w, cov, noise_var) <= closed.nats + 1e-9
 
+    def test_weights_saturate_the_budget(self):
+        rng = np.random.default_rng(8)
+        for restarts in (1, 3):
+            for _ in range(10):
+                n0, n1 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+                budget = float(rng.uniform(0.01, 20.0))
+                result = maximize_mi(budget, random_cov(rng, n0), 1.0, n1,
+                                     OptimizerConfig(max_iters=200, restarts=restarts,
+                                                     seed=int(rng.integers(100))))
+                assert abs(result.weights.frobenius_sq - budget) <= 1e-12 * budget
+
 
 class TestMaximizeMiConv:
     def test_single_block_matches_dense_run(self):

@@ -148,6 +148,11 @@ class TestSpectrumInvariants:
         with pytest.raises(NonPositiveEigenvalue):
             Spectrum(np.array([1.0, 1e-310]))
 
+    @pytest.mark.parametrize("values", [[1.0, 0.0], [1.0, math.nan], [math.inf, 1.0]])
+    def test_rejects_nonpositive_and_non_finite_entries(self, values):
+        with pytest.raises(NonPositiveEigenvalue):
+            Spectrum(np.array(values))
+
     def test_values_immutable(self):
         spec = model_spectrum("harmonic", 4)
         with pytest.raises(ValueError):

@@ -157,6 +157,16 @@ class TestSolveWaterfill:
         # the excluded component sits strictly below its floor
         assert sol.water_level - 1.0 / 1.0 < 0
 
+    @pytest.mark.parametrize("values", [[2.0, 1.0, 0.5, 0.25], [3.0, 3.0, 3.0, 1.0, 0.2]])
+    @pytest.mark.parametrize("budget", [0.0, 1e-9, 0.3, 2.0, 17.0, 1e6])
+    def test_water_level_is_mean_of_budget_and_active_floors(self, values, budget):
+        spec = model_spectrum("explicit", values=values)
+        floors = 0.7 / spec.values
+        sol = solve_waterfill(budget, spec, 0.7, len(values))
+        active = max(sol.active_count, int(np.count_nonzero(floors == floors[0])))
+        expected = (budget + float(np.sum(floors[:active]))) / active
+        assert sol.water_level == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     @given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=200, deadline=None)
     def test_kkt_and_budget(self, size, budget):
