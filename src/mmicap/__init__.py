@@ -1,8 +1,8 @@
 """Mutual-information capacity of Gaussian-input neural architectures.
 
 Closed-form capacity under a squared-Frobenius weight budget for dense,
-convolutional and multilayer families (with linear, relu or bijective
-activations), the water-filling machinery behind it, and independent
+convolutional and multilayer families (relu and bijective activations have
+the linear value), the water-filling machinery behind it, and independent
 numerical-optimization and Monte-Carlo verification of every formula.
 """
 
@@ -25,10 +25,8 @@ from .mc import (
     MCConfig,
     MCEstimate,
     bijective_channel,
-    delta_bound,
     estimate_entropy,
     estimate_mi,
-    g_bound,
     linear_channel,
     relu_channel,
     sample_gaussian_inputs,
@@ -73,7 +71,7 @@ from .spectrum import (
     load_spectrum_json,
     model_spectrum,
 )
-from .verify import run_verification, verify_relu_theorem
+from .verify import delta_bound, g_bound, run_verification, verify_relu_theorem
 from .waterfill import (
     Breakpoints,
     WaterfillSolution,

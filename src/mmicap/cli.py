@@ -6,7 +6,8 @@ budget grid, with curve presets), ``breakpoints`` (regime boundaries) and
 
 A run is one document shaped like the ``--config`` file: flags become
 fragments of it, ``--figure1`` is a constant one, and one set of typed
-builders checks the merged document whatever each value came from.
+builders checks the merged document whatever each value came from.  Each
+command takes the flags, and checks the entries, of the settings it reads.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 Floats are quantized to 9 significant digits at the output boundary in both
@@ -23,10 +24,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, MmicapError
-from .mmi import (ACTIVATIONS, ArchitectureSpec, Convolutional, FullyConnected,
-                  MultiLayer, evaluate, mmi_curve)
-from .spectrum import (BlockCovariance, CovarianceMatrix, eigvals_from_covariance,
-                       load_covariance_csv, model_spectrum)
+from .mmi import (ArchitectureSpec, Convolutional, FullyConnected, MultiLayer, evaluate,
+                  mmi_curve)
+from .spectrum import (SPECTRUM_KINDS, BlockCovariance, CovarianceMatrix,
+                       eigvals_from_covariance, load_covariance_csv, model_spectrum)
 from .verify import run_verification
 
 DEFAULTS = {"sigma2": 1.0, "units": "nats", "out": "json", "seed": 0}
@@ -46,7 +47,6 @@ ARCH_DIMS = {"fc": ("n0", "n1"), "conv": ("n0", "block", "filters")}
 #: length for fc and mlp, block^2 for conv, the F_grid count.
 MAX_ELEMENTS = 10**7
 
-SPECTRUM_KINDS = ("exp_decay", "harmonic", "explicit")
 UNITS = ("nats", "bits")
 OUTS = ("csv", "json")
 _WANTED = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
@@ -180,14 +180,12 @@ def _run_doc(args: argparse.Namespace) -> dict:
 def _build_arch(doc) -> ArchitectureSpec:
     doc = _check(doc, "architecture (--arch)", dict)
     family = _check(doc.get("family"), "architecture.family", ("fc", "conv", "mlp"))
-    activation = _check(doc.get("activation", "linear"), "architecture.activation",
-                        ACTIVATIONS)
     if family == "mlp":
         widths = _check(doc.get("widths"), "architecture.widths", [int])
-        return ArchitectureSpec(MultiLayer(tuple(widths)), activation)
+        return ArchitectureSpec(MultiLayer(tuple(widths)))
     dims = [_check(doc.get(key), f"architecture.{key}", int) for key in ARCH_DIMS[family]]
     kind = FullyConnected if family == "fc" else Convolutional
-    return ArchitectureSpec(kind(*dims), activation)
+    return ArchitectureSpec(kind(*dims))
 
 
 def _build_source(doc, arch: ArchitectureSpec):
@@ -215,9 +213,6 @@ def _build_source(doc, arch: ArchitectureSpec):
         if not conv:
             return spectrum
         cov = CovarianceMatrix(np.diag(spectrum.values))
-    if cov.dim != family.block_size:
-        raise ConfigError(f"spectrum: conv block source must be "
-                          f"{family.block_size}-dimensional, got {cov.dim}")
     return BlockCovariance(cov, family.repetitions)
 
 
@@ -248,22 +243,18 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 class RunConfig:
-    """Typed settings of one mmi, curve or breakpoints run."""
+    """The settings every mmi, curve and breakpoints run reads.  The budget
+    entries and ``units`` are checked by the commands that read them, so an
+    entry a command never reads is ignored, whatever its value."""
 
     def __init__(self, args: argparse.Namespace):
-        doc = _run_doc(args)
-        self.sigma2 = _check(doc["sigma2"], "sigma2", float)
+        self.doc = _run_doc(args)
+        self.sigma2 = _check(self.doc["sigma2"], "sigma2", float)
         if self.sigma2 <= 0:
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
-        self.units = _check(doc["units"], "units", UNITS)
-        self.out = _check(doc["out"], "out", OUTS)
-        self.budget = _check(doc.get("F"), "F", float, required=False)
-        self.grid = None if doc.get("F_grid") is None else _build_grid(doc["F_grid"])
-        self.arch = _build_arch(doc.get("architecture"))
-        self.source = _build_source(doc.get("spectrum"), self.arch)
-
-    def convert(self, nats: float) -> float:
-        return nats / math.log(2.0) if self.units == "bits" else nats
+        self.out = _check(self.doc["out"], "out", OUTS)
+        self.arch = _build_arch(self.doc.get("architecture"))
+        self.source = _build_source(self.doc.get("spectrum"), self.arch)
 
 
 def _emit(rows: list[dict], meta: dict, out: str, stream=None) -> None:
@@ -279,35 +270,36 @@ def _emit(rows: list[dict], meta: dict, out: str, stream=None) -> None:
     print(text, file=stream)
 
 
-def _curve_rows(config: RunConfig, grid) -> list[dict]:
-    return [{
+def _curve_table(command: str, config: RunConfig, grid) -> tuple[list[dict], dict]:
+    """Capacity rows over ``grid`` in the run's units, and the table's header."""
+    units = _check(config.doc["units"], "units", UNITS)
+    scale = math.log(2.0) if units == "bits" else 1.0
+    rows = [{
         "F": budget,
-        "mmi": config.convert(result.nats),
+        "mmi": result.nats / scale,
         "regime_K": result.regime,
         "active_components": result.active_components,
     } for budget, result in mmi_curve(config.arch, config.source, config.sigma2, grid)]
+    return rows, {"command": command, "units": units, "sigma2": config.sigma2}
 
 
 def cmd_mmi(args) -> int:
     config = RunConfig(args)
-    if config.budget is None:
-        raise ConfigError("--F is required for the mmi subcommand")
-    rows = _curve_rows(config, [config.budget])
+    budget = _check(config.doc.get("F"), "F (--F)", float)
+    rows, meta = _curve_table("mmi", config, [budget])
     rows[0]["bottleneck"] = rows[0]["regime_K"] + rows[0]["active_components"]
-    _emit(rows, {"command": "mmi", "units": config.units, "sigma2": config.sigma2},
-          config.out)
+    _emit(rows, meta, config.out)
     return 0
 
 
 def cmd_curve(args) -> int:
     config = RunConfig(args)
-    if config.grid is None:
+    if config.doc.get("F_grid") is None:
         raise ConfigError("--F-grid (or --figure1) is required for the curve subcommand")
-    rows = _curve_rows(config, config.grid)
+    rows, meta = _curve_table("curve", config, _build_grid(config.doc["F_grid"]))
     if args.gnuplot:
-        _write_gnuplot(args.gnuplot, rows, config.units)
-    _emit(rows, {"command": "curve", "units": config.units, "sigma2": config.sigma2},
-          config.out)
+        _write_gnuplot(args.gnuplot, rows, meta["units"])
+    _emit(rows, meta, config.out)
     return 0
 
 
@@ -346,31 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mmicap", description="Mutual-information capacity of Gaussian-input architectures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--arch", help="fc:N0,N1 | conv:N0,NB,Nf | mlp:w1,w2,...")
-    common.add_argument("--spectrum",
-                        help="exp:rate | harmonic | file:PATH | list:v1,v2,...")
-    common.add_argument("--sigma2", type=float, help="output noise variance (default 1)")
-    common.add_argument("--units", choices=UNITS)
-    common.add_argument("--out", choices=OUTS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--config", help="JSON config file; flags override its fields")
+    # Each command takes the flags of the settings it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file; flags override its fields")
+    model = argparse.ArgumentParser(add_help=False, parents=[config])
+    model.add_argument("--arch", help="fc:N0,N1 | conv:N0,NB,Nf | mlp:w1,w2,...")
+    model.add_argument("--spectrum", help="exp:rate | harmonic | file:PATH | list:v1,v2,...")
+    model.add_argument("--sigma2", type=float, help="output noise variance (default 1)")
+    model.add_argument("--out", choices=OUTS)
+    capacity = argparse.ArgumentParser(add_help=False, parents=[model])
+    capacity.add_argument("--units", choices=UNITS)
 
-    p_mmi = sub.add_parser("mmi", parents=[common], help="single capacity value")
+    p_mmi = sub.add_parser("mmi", parents=[capacity], help="single capacity value")
     p_mmi.add_argument("--F", type=float, help="squared-Frobenius weight budget")
     p_mmi.set_defaults(func=cmd_mmi)
 
-    p_curve = sub.add_parser("curve", parents=[common], help="capacity over a budget grid")
+    p_curve = sub.add_parser("curve", parents=[capacity], help="capacity over a budget grid")
     p_curve.add_argument("--F-grid", dest="F_grid", help="lo:hi:n ascending grid")
     p_curve.add_argument("--figure1", choices=sorted(FIGURE1),
                          help="preset: N0=100, N1=50, sigma2=1, 400-point grid")
     p_curve.add_argument("--gnuplot", help="also write a plotting script and its CSV here")
     p_curve.set_defaults(func=cmd_curve)
 
-    sub.add_parser("breakpoints", parents=[common],
+    sub.add_parser("breakpoints", parents=[model],
                    help="regime boundaries of the budget axis").set_defaults(func=cmd_breakpoints)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    p_verify = sub.add_parser("verify", parents=[config], help="run the verification suite")
+    p_verify.add_argument("--seed", type=int, help="seed of the stochastic checks (default 0)")
     p_verify.add_argument("--corrupt-closed-form", type=float, default=0.0,
                           help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DeltaOutOfRange, NotPositiveDefinite, NumericalUnderflow
+from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow
 from .spectrum import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -50,9 +50,6 @@ def _forget_pools() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pools)
-
-_INV_E = 1.0 / math.e
-
 
 def _tanh_log_deriv(a: np.ndarray) -> np.ndarray:
     # log(1 - tanh(a)^2) = 2 (log 2 - |a| - log1p(exp(-2|a|))), stable for large |a|
@@ -293,44 +290,6 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
         cond += corr
         se = math.hypot(se, corr_se)
     return MCEstimate(value - cond, se, mc)
-
-
-def delta_bound(model: ChannelModel, cov: CovarianceMatrix) -> float:
-    """Upper bound on the total variation between relu and linear marginals.
-
-    The two channels share conditionals whenever the pre-activation stays
-    non-negative, so the union bound sum_i P(pre_i < 0) =
-    sum_i Phi(-b_i / sd_i) bounds the marginal total variation.  A zero
-    pre-activation variance contributes 1 when b_i < 0 and 0 otherwise.
-    """
-    if model.activation != "relu":
-        raise ConfigError("delta_bound applies to relu channels")
-    w = model.weights.entries
-    variances = np.einsum("ij,jk,ik->i", w, cov.entries, w)
-    bound = 0.0
-    for b_i, v_i in zip(model.bias, variances):
-        if v_i > 0.0:
-            bound += 0.5 * math.erfc(b_i / math.sqrt(2.0 * v_i))
-        elif b_i < 0.0:
-            bound += 1.0
-    return min(1.0, bound)
-
-
-def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
-    """Explicit bound on the MI gap between relu and linear channels.
-
-    4 d |log 2d| + 2 d |log M| + 2 h2(d) with M = max(1, (2 pi s)^(-N/2)),
-    valid for total variation d in [0, 1/e); h2 is the binary entropy.
-    """
-    if not 0.0 <= delta < _INV_E:
-        raise DeltaOutOfRange(f"delta must lie in [0, 1/e), got {delta}")
-    if delta == 0.0:
-        return 0.0
-    m_const = max(1.0, (2.0 * math.pi * noise_var) ** (-0.5 * hidden_dim))
-    h2 = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
-    return (4.0 * delta * abs(math.log(2.0 * delta))
-            + 2.0 * delta * abs(math.log(m_const))
-            + 2.0 * h2)
 
 
 def verify_entropy_ordering(model: ChannelModel, cov: CovarianceMatrix,

@@ -22,8 +22,6 @@ from .errors import DimensionMismatch, NegativeBudget, TargetUnreachable
 from .spectrum import BlockCovariance, Spectrum, decompose_covariance
 from .waterfill import Breakpoints, breakpoints, regime
 
-ACTIVATIONS = ("linear", "relu", "bijective")
-
 #: Default upper bracket for budget inversion.
 DEFAULT_BUDGET_MAX = 1e6
 
@@ -88,21 +86,10 @@ class MultiLayer:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """An architecture family plus its activation tag.
-
-    The closed form is identical for linear, relu and bijective activations;
-    the tag survives into results so verification reports can route the
-    stochastic checks.
-    """
+    """An architecture family.  Relu and bijective activations have the
+    capacity of the linear network, so the closed form reads nothing else."""
 
     family: FullyConnected | Convolutional | MultiLayer
-    activation: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.activation not in ACTIVATIONS:
-            raise DimensionMismatch(
-                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -134,7 +121,6 @@ class MmiResult:
     regime: int
     breakpoints: Breakpoints
     active_components: int
-    activation: str = "linear"
 
 
 def _check_dims(**dims: int) -> None:
@@ -198,26 +184,23 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     nats = np.where(budgets == 0.0, 0.0,
                     repetitions * mmi_formula(spectrum, noise_var, budgets, active))
     nats = float(nats) if budgets.ndim == 0 else nats
-    return MmiResult(nats, excluded, bp, active, arch.activation)
+    return MmiResult(nats, excluded, bp, active)
 
 
 def mmi_fc(params: ChannelParams, spectrum: Spectrum, input_dim: int,
-           hidden_dim: int, activation: str = "linear") -> MmiResult:
+           hidden_dim: int) -> MmiResult:
     """Capacity of the dense single-layer family."""
-    arch = ArchitectureSpec(FullyConnected(input_dim, hidden_dim), activation)
+    arch = ArchitectureSpec(FullyConnected(input_dim, hidden_dim))
     return evaluate(arch, spectrum, params.noise_var, params.budget)
 
 
-def mmi_conv(params: ChannelParams, block: BlockCovariance,
-             num_filters: int, activation: str = "linear") -> MmiResult:
+def mmi_conv(params: ChannelParams, block: BlockCovariance, num_filters: int) -> MmiResult:
     """Capacity of the tied-filter convolutional family."""
-    arch = ArchitectureSpec(
-        Convolutional(block.input_dim, block.block.dim, num_filters), activation)
+    arch = ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, num_filters))
     return evaluate(arch, block, params.noise_var, params.budget)
 
 
-def mmi_multilayer(params: ChannelParams, spectrum: Spectrum,
-                   widths, activation: str = "linear") -> MmiResult:
+def mmi_multilayer(params: ChannelParams, spectrum: Spectrum, widths) -> MmiResult:
     """Capacity of a stack of dense layers with noise on the last one.
 
     The budget constrains the end-to-end product matrix, whose rank is
@@ -225,8 +208,7 @@ def mmi_multilayer(params: ChannelParams, spectrum: Spectrum,
     formula at hidden_dim = min(widths).
     """
     family = widths if isinstance(widths, MultiLayer) else MultiLayer(tuple(widths))
-    return evaluate(ArchitectureSpec(family, activation), spectrum,
-                    params.noise_var, params.budget)
+    return evaluate(ArchitectureSpec(family), spectrum, params.noise_var, params.budget)
 
 
 def mmi_approx_large_n(spectrum: Spectrum, n_tilde: int) -> float:
@@ -250,7 +232,7 @@ def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("budget grid must be ascending")
     out = evaluate(arch, source, noise_var, grid)
-    return [(float(f), MmiResult(float(v), int(k), out.breakpoints, int(m), out.activation))
+    return [(float(f), MmiResult(float(v), int(k), out.breakpoints, int(m)))
             for f, v, k, m in zip(grid, out.nats, out.regime, out.active_components)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,9 @@ RELATIVE_PD_FLOOR = 1e-12
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 SYMMETRY_RTOL = 1e-10
+
+#: Spectrum models of ``model_spectrum``.
+SPECTRUM_KINDS = ("exp_decay", "harmonic", "explicit")
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -56,18 +60,20 @@ class Spectrum:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
             raise DimensionMismatch("spectrum must be a non-empty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            raise NonPositiveEigenvalue("spectrum contains non-finite entries")
-        if np.any(vals <= 0.0):
-            raise NonPositiveEigenvalue("eigenvalues must be strictly positive")
-        if not math.isfinite(1.0 / float(vals.min())):
-            raise NonPositiveEigenvalue("eigenvalues must have finite reciprocals")
+        with np.errstate(divide="ignore", over="ignore"):
+            inverse = 1.0 / vals
+        bad = ~(np.isfinite(vals) & (vals > 0.0) & np.isfinite(inverse))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonPositiveEigenvalue(
+                f"eigenvalue {i + 1} of {vals.size} is {vals[i]:.6g}; eigenvalues must be "
+                "finite and strictly positive, with finite reciprocals")
         if np.any(np.diff(vals) > 0.0):
             raise ValueError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "values", _frozen_array(vals))
         # A running sum adds up to n * eps of rounding; accumulating in extended
         # precision (where the platform has it) keeps each prefix correctly rounded.
-        for name, terms in (("_inverse_prefix", 1.0 / vals), ("_log_prefix", np.log(vals))):
+        for name, terms in (("_inverse_prefix", inverse), ("_log_prefix", np.log(vals))):
             object.__setattr__(self, name, _frozen_array(np.cumsum(terms, dtype=np.longdouble)))
 
     def __len__(self) -> int:
@@ -185,27 +191,35 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
         ``harmonic``  -- 1/i for i = 1..n
         ``explicit``  -- validate and sort the given list descending
     """
+    if kind not in SPECTRUM_KINDS:
+        raise ConfigError(f"unknown spectrum kind {kind!r}")
+    if n is not None or kind != "explicit":
+        _check_positive(n, "spectrum length n", numbers.Integral, "integer")
     if kind == "exp_decay":
-        if rate is None or rate <= 0:
-            raise ConfigError("exp_decay spectrum requires rate > 0")
-        _check_length(n)
+        _check_positive(rate, "exp_decay spectrum rate", numbers.Real, "finite number")
         return Spectrum(np.exp(-rate * np.arange(n, dtype=np.float64)))
     if kind == "harmonic":
-        _check_length(n)
         return Spectrum(1.0 / np.arange(1, n + 1, dtype=np.float64))
-    if kind == "explicit":
-        if values is None:
-            raise ConfigError("explicit spectrum requires values")
+    if values is None:
+        raise ConfigError("explicit spectrum requires values")
+    try:
         arr = np.asarray(values, dtype=np.float64)
-        if n is not None and n != arr.size:
-            raise ConfigError(f"explicit spectrum has {arr.size} values, n={n}")
-        return Spectrum(np.sort(arr)[::-1])
-    raise ConfigError(f"unknown spectrum kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"explicit spectrum values must be numbers: {exc}") from exc
+    if n is not None and n != arr.size:
+        raise ConfigError(f"explicit spectrum has {arr.size} values, n={n}")
+    return Spectrum(np.sort(arr)[::-1])
 
 
-def _check_length(n) -> None:
-    if n is None or int(n) != n or n < 1:
-        raise ConfigError("spectrum length n must be a positive integer")
+def _check_positive(value, name: str, kind, wanted: str) -> None:
+    """``value`` is a ``kind`` number, not a bool, in (0, inf) as a double."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, kind) \
+            and 0.0 < float(value) < math.inf
+    except OverflowError:  # an integer beyond the doubles
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a positive {wanted}, got {value!r}")
 
 
 def load_covariance_csv(path) -> CovarianceMatrix:

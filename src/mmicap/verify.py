@@ -4,7 +4,8 @@ Six independent checks at desk scale: achievability of the closed form,
 the optimizer gap, agreement of adjacent capacity branches at breakpoints,
 relu large-bias convergence, the entropy-ordering inequality, and bijective
 invariance.  Everything derives from one seed, so reports are byte-stable.
-The relu large-bias suite is public as ``verify_relu_theorem``.
+The relu large-bias suite is public as ``verify_relu_theorem``, with the
+total-variation and information-gap bounds it checks against.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DeltaOutOfRange
 from .mc import (
-    _INV_E,
+    ChannelModel,
     MCConfig,
     bijective_channel,
-    delta_bound,
     estimate_mi,
-    g_bound,
     linear_channel,
     relu_channel,
     verify_entropy_ordering,
@@ -35,6 +34,46 @@ from .oracle import (
 )
 from .spectrum import CovarianceMatrix, decompose_covariance, model_spectrum
 from .waterfill import breakpoints
+
+_INV_E = 1.0 / math.e
+
+
+def delta_bound(model: ChannelModel, cov: CovarianceMatrix) -> float:
+    """Upper bound on the total variation between relu and linear marginals.
+
+    The two channels share conditionals whenever the pre-activation stays
+    non-negative, so the union bound sum_i P(pre_i < 0) =
+    sum_i Phi(-b_i / sd_i) bounds the marginal total variation.  A zero
+    pre-activation variance contributes 1 when b_i < 0 and 0 otherwise.
+    """
+    if model.activation != "relu":
+        raise ConfigError("delta_bound applies to relu channels")
+    w = model.weights.entries
+    variances = np.einsum("ij,jk,ik->i", w, cov.entries, w)
+    bound = 0.0
+    for b_i, v_i in zip(model.bias, variances):
+        if v_i > 0.0:
+            bound += 0.5 * math.erfc(b_i / math.sqrt(2.0 * v_i))
+        elif b_i < 0.0:
+            bound += 1.0
+    return min(1.0, bound)
+
+
+def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
+    """Explicit bound on the MI gap between relu and linear channels.
+
+    4 d |log 2d| + 2 d |log M| + 2 h2(d) with M = max(1, (2 pi s)^(-N/2)),
+    valid for total variation d in [0, 1/e); h2 is the binary entropy.
+    """
+    if not 0.0 <= delta < _INV_E:
+        raise DeltaOutOfRange(f"delta must lie in [0, 1/e), got {delta}")
+    if delta == 0.0:
+        return 0.0
+    m_const = max(1.0, (2.0 * math.pi * noise_var) ** (-0.5 * hidden_dim))
+    h2 = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
+    return (4.0 * delta * abs(math.log(2.0 * delta))
+            + 2.0 * delta * abs(math.log(m_const))
+            + 2.0 * h2)
 
 
 def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,

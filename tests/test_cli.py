@@ -373,6 +373,95 @@ class TestBreakpointsChecks:
         assert err.startswith("error:")
 
 
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("args", [
+        ["verify", "--seed", "0", "--out", "csv"],
+        ["verify", "--seed", "0", "--arch", "fc:2,2"],
+        ["breakpoints", "--arch", "fc:2,2", "--spectrum", "list:2,1", "--units", "bits"],
+        ["mmi", "--arch", "fc:2,2", "--spectrum", "list:2,1", "--F", "1", "--seed", "1"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error:" in captured.err
+
+    def test_verify_reads_seed_from_config(self, tmp_path, capsys, monkeypatch):
+        seeds = []
+
+        def fake_verification(seed, mmi_offset):
+            seeds.append(seed)
+            return {"seed": seed, "checks": [], "pass": True}
+
+        monkeypatch.setattr("mmicap.cli.run_verification", fake_verification)
+        config = write_config(tmp_path, {**FC_TWO_ONE, "seed": 7, "units": "furlongs"})
+        assert run_cli(["verify", "--config", config], capsys)[0] == 0
+        assert run_cli(["verify", "--config", config, "--seed", "3"], capsys)[0] == 0
+        assert seeds == [7, 3]
+
+    @pytest.mark.parametrize("command, fields", [
+        ("breakpoints", {"units": "furlongs", "F": "x", "F_grid": "x"}),
+        ("mmi", {"F": 1.0, "F_grid": "x"}),
+        ("curve", {"F_grid": [0.0, 1.0, 2], "F": "x"}),
+    ])
+    def test_config_entries_the_command_does_not_read_are_ignored(self, tmp_path, capsys,
+                                                                   command, fields):
+        config = write_config(tmp_path, {**FC_TWO_ONE, **fields})
+        code, out, err = run_cli([command, "--config", config], capsys)
+        assert code == 0 and err == ""
+        assert parse_json(out)["command"] == command
+
+    def test_config_activation_entry_is_ignored(self, tmp_path, capsys):
+        doc = {**FC_TWO_ONE, "F": 2.5}
+        code, plain, _ = run_cli(["mmi", "--config", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        tagged = {**doc, "architecture": {**doc["architecture"], "activation": "swish"}}
+        code, out, err = run_cli(["mmi", "--config", write_config(tmp_path, tagged)], capsys)
+        assert code == 0 and err == "" and out == plain
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("n0, code", [(7098, 0), (7099, 2), (7500, 2)])
+    def test_exp_spectrum_length_limit(self, capsys, n0, code):
+        # exp(-0.1 (n - 1)) has a finite reciprocal while 0.1 (n - 1) <= ln(max double)
+        result, out, err = run_cli(["mmi", "--arch", f"fc:{n0},2", "--spectrum", "exp:0.1",
+                                    "--F", "1"], capsys)
+        assert result == code
+        if code == 0:
+            assert parse_json(out)["rows"][0]["active_components"] == 2
+        else:
+            assert err.startswith("error:") and f"eigenvalue 7099 of {n0}" in err
+
+    @pytest.mark.parametrize("source", ["csv", "config"])
+    def test_conv_block_of_the_wrong_size_exits_2(self, tmp_path, capsys, source):
+        csv_path = tmp_path / "cov.csv"
+        csv_path.write_text("2.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,0.5\n")
+        spectrum = ({"covariance_csv": str(csv_path)} if source == "csv"
+                    else {"kind": "harmonic", "n": 3})
+        config = write_config(tmp_path, {
+            "architecture": {"family": "conv", "n0": 4, "block": 2, "filters": 2},
+            "spectrum": spectrum, "F": 1.0})
+        code, out, err = run_cli(["mmi", "--config", config], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("spectrum, config", [
+        ("list:2,1", "missing"),
+        ("list:2,1", [1, 2]),
+        ("list:a", None),
+    ], ids=["missing-config", "non-object-config", "non-numeric-list"])
+    def test_unusable_input_exits_2(self, tmp_path, capsys, spectrum, config):
+        args = ["mmi", "--arch", "fc:2,2", "--spectrum", spectrum, "--F", "1"]
+        if config == "missing":
+            args += ["--config", str(tmp_path / "missing.json")]
+        elif config is not None:
+            args += ["--config", write_config(tmp_path, config)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 # Fuzzing main(): command lines and config files mixing valid and invalid
 # fragments; a flag value comes from its valid pool three times in four.  Every
 # dimension and grid size is either tiny or far beyond the CLI's size bound, so

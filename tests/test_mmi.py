@@ -297,16 +297,6 @@ class TestArchitectureSpec:
         assert Convolutional(6, 3, 2).bottleneck == 2
         assert MultiLayer((50, 3, 50)).bottleneck(100) == 3
 
-    def test_activation_tag(self):
-        arch = ArchitectureSpec(FullyConnected(2, 2), "relu")
-        result = evaluate(arch, TWO_ONE, 1.0, 2.5)
-        assert result.activation == "relu"
-        assert result.nats == pytest.approx(FULL_BUDGET_NATS, abs=1e-12)
-
-    def test_bad_activation(self):
-        with pytest.raises(DimensionMismatch):
-            ArchitectureSpec(FullyConnected(2, 2), "swish")
-
 
 def rotated_block(rng, values, repetitions):
     q, _ = np.linalg.qr(rng.standard_normal((values.size, values.size)))
@@ -442,3 +432,27 @@ class TestClosedFormInversion:
         arch = ArchitectureSpec(FullyConnected(2, 2))
         assert invert_mmi(arch, TWO_ONE, 1.0, 0.5 * math.log(2.0)) == pytest.approx(
             0.5, rel=1e-14)
+
+
+CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: MultiLayer(()), DimensionMismatch),
+    (lambda: mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, []),
+     DimensionMismatch),
+    (lambda: mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, [[0.5, 1.0]]),
+     DimensionMismatch),
+    (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 0.0),
+     ValueError),
+    (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, -1.0),
+     ValueError),
+    (lambda: evaluate(ArchitectureSpec("fc:2,2"), TWO_ONE, 1.0, 1.0), DimensionMismatch),
+    (lambda: evaluate(CONV_4_2_2, TWO_ONE, 1.0, 1.0), DimensionMismatch),
+    (lambda: evaluate(CONV_4_2_2, BlockCovariance(CovarianceMatrix(np.eye(3)), 2), 1.0, 1.0),
+     DimensionMismatch),
+], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
+        "unknown-family", "spectrum-for-conv", "wrong-block-size"])
+def test_rejects_malformed_input(call, error):
+    with pytest.raises(error):
+        call()

@@ -12,6 +12,7 @@ from mmicap import (
     BlockCovariance,
     ConfigError,
     CovarianceMatrix,
+    DimensionMismatch,
     IndexOutOfRange,
     NonPositiveEigenvalue,
     NotPositiveDefinite,
@@ -248,3 +249,40 @@ class TestLoaders:
         path.write_text(json.dumps({"rate": 0.1}))
         with pytest.raises(ConfigError):
             load_spectrum_json(path)
+
+
+def write_file(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda tmp: Spectrum(np.array([])), DimensionMismatch),
+    (lambda tmp: Spectrum(np.ones((2, 2))), DimensionMismatch),
+    (lambda tmp: CovarianceMatrix(np.ones((2, 3))), DimensionMismatch),
+    (lambda tmp: CovarianceMatrix([[1.0, math.nan], [math.nan, 1.0]]), ValueError),
+    (lambda tmp: model_spectrum("explicit"), ConfigError),
+    (lambda tmp: model_spectrum("explicit", 3, values=[2.0, 1.0]), ConfigError),
+    (lambda tmp: load_covariance_csv(write_file(tmp, "cov.csv", "\n , \n")), ConfigError),
+], ids=["empty-spectrum", "2d-spectrum", "non-square-covariance", "non-finite-covariance",
+        "explicit-without-values", "explicit-length-mismatch", "empty-covariance-csv"])
+def test_rejects_malformed_input(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "exp_decay", "rate": "0.1", "n": 3},
+    {"kind": "explicit", "values": "abc"},
+    {"kind": "harmonic", "n": True},
+    {"kind": "harmonic", "n": 2.0},
+], ids=["string-rate", "string-values", "bool-length", "float-length"])
+def test_spectrum_json_rejects_what_the_cli_rejects(tmp_path, doc):
+    with pytest.raises(ConfigError):
+        load_spectrum_json(write_file(tmp_path, "spec.json", json.dumps(doc)))
+
+
+def test_model_spectrum_takes_numpy_scalars():
+    spec = model_spectrum("exp_decay", np.int64(3), rate=np.float32(0.5))
+    np.testing.assert_array_equal(spec.values, np.exp(-np.float32(0.5) * np.arange(3.0)))

@@ -97,6 +97,12 @@ class TestBreakpoints:
         assert np.all(np.diff(bp.values) >= 0.0)
 
 
+    @pytest.mark.parametrize("noise_var", [0.0, -1.0])
+    def test_rejects_non_positive_noise(self, noise_var):
+        with pytest.raises(ValueError):
+            breakpoints(model_spectrum("explicit", values=[2.0, 1.0]), noise_var, 2)
+
+
 class TestRegime:
     def test_above_all(self):
         bp = breakpoints(model_spectrum("explicit", values=[2.0, 1.0]), 1.0, 2)
