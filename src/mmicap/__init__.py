@@ -17,6 +17,7 @@ from .errors import (
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
+    NumericalOverflow,
     NumericalUnderflow,
     TargetUnreachable,
 )

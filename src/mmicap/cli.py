@@ -318,7 +318,7 @@ def cmd_breakpoints(args) -> int:
     config = RunConfig(args)
     bp = evaluate(config.arch, config.source, config.sigma2, 0.0).breakpoints
     rows = [{"k": k + 1, "breakpoint": float(value)}
-            for k, value in enumerate(bp.values)]
+            for k, value in enumerate(bp.finite())]
     _emit(rows, {"command": "breakpoints", "sigma2": config.sigma2}, config.out)
     return 0
 

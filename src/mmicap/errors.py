@@ -41,6 +41,10 @@ class NumericalUnderflow(MmicapError):
     """Every mixture component underflowed in a density evaluation."""
 
 
+class NumericalOverflow(MmicapError):
+    """A prefix sum or breakpoint a query reads passes the double range."""
+
+
 class DeltaOutOfRange(MmicapError):
     """Total-variation argument outside [0, 1/e)."""
 

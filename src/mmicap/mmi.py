@@ -255,7 +255,7 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     if ceiling.nats < target:
         raise TargetUnreachable(
             f"target {target_nats} nats exceeds the capacity at budget {budget_max}")
-    rho = ceiling.breakpoints.values
+    rho = ceiling.breakpoints.values[:ceiling.active_components]
     at_rho = evaluate(dense, spectrum, noise_var, rho).nats
     m = int(np.count_nonzero(at_rho <= target))
     level = noise_var / spectrum.values[m - 1]

@@ -3,11 +3,13 @@
 Three routes that never touch the piecewise capacity expression:
 the exact Gaussian mutual information of an arbitrary weight matrix
 (log-determinant form), the explicit capacity-achieving weight construction,
-and projected gradient ascent over the squared-Frobenius ball.
+and a trust-region Newton ascent on the squared-Frobenius budget sphere.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,8 +26,9 @@ from .waterfill import solve_waterfill
 #: Singular values below this fraction of the largest count as zero rank.
 RANK_RTOL = 1e-12
 
-#: Armijo sufficient-increase coefficient for the backtracking line search.
-ARMIJO_C = 1e-4
+#: A trust-region step is accepted when the increase is at least this share
+#: of the model's prediction; below 1/4 the radius shrinks, above 3/4 it grows.
+ACCEPT_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,10 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Projected-gradient settings; per-restart seeds derive from (seed, index)."""
+    """Trust-region ascent settings; per-restart seeds derive from (seed, index).
+
+    ``step_size`` times sqrt(budget) is the initial trust radius.
+    """
 
     max_iters: int = 5000
     step_size: float = 0.1
@@ -82,9 +88,10 @@ class OptimizerConfig:
 class OptimizeResult:
     """Best weights found, their exact mutual information, and a convergence flag.
 
-    ``converged`` is False when the winning restart still had a projected
-    gradient above tolerance after max_iters; the best-found point is
-    returned either way.
+    ``converged`` is False when the winning restart still had a Riemannian
+    gradient (the gradient's component tangent to the budget sphere) above
+    tolerance after max_iters, or its trust region collapsed first; the
+    best-found point is returned either way.
     """
 
     weights: WeightMatrix
@@ -155,37 +162,121 @@ def build_optimal_weights(budget: float, decomposition: SpectralDecomposition,
     return WeightMatrix(w)
 
 
+def _hessian(w: np.ndarray, grad: np.ndarray, factor, cov: np.ndarray,
+             noise_var: float) -> np.ndarray:
+    """Euclidean Hessian of the exact MI in the row-major vec of ``w``.
+
+    With A = C / s, K = (Id + W A W^T)^-1, G = K W A (``grad``) and
+    Abar = A - (W A)^T G, the gradient moves as dG = K dW Abar - G dW^T G, so
+    H[(i, j), (k, l)] = K_ik Abar_lj - G_il G_kj.
+    """
+    inv_factor = np.linalg.inv(factor)
+    k = inv_factor.T @ inv_factor
+    abar = cov / noise_var - (w @ cov / noise_var).T @ grad
+    hess = k[:, None, :, None] * abar[None, :, None, :] \
+        - grad[:, None, None, :] * grad.T[None, :, :, None]
+    return hess.reshape(w.size, w.size)
+
+
+def _horizontal_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the tangent directions at ``w`` that are
+    orthogonal to the sphere's normal vec(W) and to every hidden rotation
+    vec(J W), J skew: the MI is invariant under W -> U W, U orthogonal, so
+    those directions are flat.  The set is dependent when W has fewer
+    non-zero singular values than rows, so its rank is read from an SVD."""
+    pairs = list(itertools.combinations(range(w.shape[0]), 2))
+    spanning = np.zeros((len(pairs) + 1,) + w.shape)
+    spanning[0] = w
+    for n, (a, b) in enumerate(pairs, start=1):
+        spanning[n, a] = w[b]
+        spanning[n, b] = -w[a]
+    _, sv, vt = np.linalg.svd(spanning.reshape(len(pairs) + 1, w.size))
+    return vt[np.count_nonzero(sv > RANK_RTOL * sv[0]):].T
+
+
+def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
+    """Maximiser of grad . x + x^T hess x / 2 over |x| <= radius.
+
+    One eigendecomposition, then Newton's method on the secular equation
+    1/|x(nu)| = 1/radius with x(nu) = (nu Id - hess)^-1 grad (More & Sorensen,
+    SIAM J. Sci. Stat. Comput. 1983).  The root lies between the smallest
+    shift the division resolves and that shift plus |grad| / radius; 1/|x| is
+    concave there, so once an iterate lands left of the root the rest climb
+    to it.  In the hard case, where x is shorter than the radius already at
+    the smallest shift, the top curvature direction fills the rest.
+    """
+    curv, vecs = np.linalg.eigh(-hess)
+    coef = vecs.T @ grad
+    if curv[0] > 0.0:
+        step = coef / curv
+        if step @ step <= radius**2:
+            return vecs @ step
+    floor = max(0.0, -curv[0]) + np.finfo(float).eps * float(np.abs(curv).max())
+    step = coef / (curv + floor)
+    length_sq = float(step @ step)
+    if length_sq <= radius**2:
+        rest = length_sq - step[0] ** 2
+        step[0] = math.copysign(math.sqrt(radius**2 - rest), coef[0])
+        return vecs @ step
+    shift = floor + math.sqrt(coef @ coef) / radius
+    for _ in range(100):
+        denom = curv + shift
+        step = coef / denom
+        length = math.sqrt(step @ step)
+        if abs(length - radius) <= 1e-12 * radius:
+            break
+        newton = shift + (length / radius - 1.0) * length**2 / ((step / denom) @ step)
+        shift = newton if newton > floor else 0.5 * (floor + shift)
+    return vecs @ step
+
+
 def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             config: OptimizerConfig):
-    """One projected-gradient run on the exact MI against ``cov`` from ``w`` on
-    the budget sphere; returns (w, nats, converged, iters, grad_norm).
+    """One trust-region Newton run on the exact MI against ``cov`` from ``w``
+    on the budget sphere; returns (w, nats, converged, iters, grad_norm).
 
-    There <grad, W> = Tr(M^-1 W C W^T) / s > 0: each step leaves the sphere
-    outward and is rescaled back, and convergence is measured on the
-    tangential residual.  The accepted step carries over (doubled) into the
-    next iteration, so the search rarely backtracks more than once.
+    Each step solves the quadratic model of the MI restricted to the
+    horizontal space (``_horizontal_basis``) exactly inside the trust radius
+    and is retracted by rescaling onto the sphere (Absil, Baker & Gallivan,
+    FoCM 2007).  On the sphere the Riemannian Hessian is the projected
+    Euclidean one minus <grad, W> / budget.  Convergence is measured on the
+    tangential residual of the gradient.  The ratio test adds a rounding
+    allowance to both increases, so steps that gain at rounding level are
+    taken and the radius does not collapse next to the optimum.
     """
     factor, value = _mi_value(w, cov, noise_var)
+    max_radius = math.sqrt(budget)
+    radius = config.step_size * max_radius
     grad_norm = np.inf
-    step = config.step_size
+    moved = True
     for iterations in range(config.max_iters):
-        grad = _gradient(w, factor, cov, noise_var)
-        radial = float(np.sum(grad * w)) / float(np.sum(w * w))
-        grad_norm = float(np.linalg.norm(grad - radial * w))
-        if grad_norm <= config.tolerance:
-            return w, value, True, iterations, grad_norm
-        step = min(2.0 * step, 1e6 * config.step_size)
-        while step > 1e-18:
-            candidate = w + step * grad
-            candidate *= np.sqrt(budget / np.sum(candidate * candidate))
-            cand_factor, cand_value = _mi_value(candidate, cov, noise_var)
-            if cand_value >= value + ARMIJO_C * step * grad_norm ** 2:
-                w, value, factor = candidate, cand_value, cand_factor
-                break
-            step *= 0.5
-        else:
-            # Line search exhausted at machine precision, short of tolerance.
-            return w, value, False, iterations, grad_norm
+        if moved:
+            grad = _gradient(w, factor, cov, noise_var)
+            radial = float(np.sum(grad * w)) / budget
+            grad_norm = math.sqrt(np.sum((grad - radial * w) ** 2))
+            basis = _horizontal_basis(w)
+            if grad_norm <= config.tolerance or basis.shape[1] == 0:
+                return w, value, True, iterations, grad_norm
+            hess = basis.T @ _hessian(w, grad, factor, cov, noise_var) @ basis
+            hess.flat[::hess.shape[0] + 1] -= radial
+            slope = basis.T @ grad.ravel()
+        step = _trust_region_step(slope, hess, radius)
+        predicted = float(slope @ step + 0.5 * (step @ hess @ step))
+        candidate = w + (basis @ step).reshape(w.shape)
+        candidate *= math.sqrt(budget / np.sum(candidate * candidate))
+        cand_factor, cand_value = _mi_value(candidate, cov, noise_var)
+        allowance = 1e3 * np.finfo(float).eps * max(1.0, abs(value))
+        ratio = (cand_value - value + allowance) / (predicted + allowance)
+        if ratio < 0.25:
+            radius *= 0.25
+        elif ratio > 0.75 and step @ step >= (0.99 * radius) ** 2:
+            radius = min(2.0 * radius, max_radius)
+        moved = ratio > ACCEPT_RATIO
+        if moved:
+            w, value, factor = candidate, cand_value, cand_factor
+        elif radius < np.finfo(float).eps * max_radius:
+            # The model cannot predict an increase at machine precision.
+            return w, value, False, iterations + 1, grad_norm
     return w, value, False, config.max_iters, grad_norm
 
 
@@ -208,7 +299,7 @@ def _multistart(hidden_dim: int, budget: float, cov: np.ndarray, noise_var: floa
 
 def maximize_mi(budget: float, cov: CovarianceMatrix, noise_var: float,
                 hidden_dim: int, config: OptimizerConfig) -> OptimizeResult:
-    """Projected gradient ascent of the exact MI over Tr(W^T W) <= budget.
+    """Trust-region Newton ascent of the exact MI over Tr(W^T W) <= budget.
 
     Runs ``config.restarts`` independent ascents from random points on the
     budget sphere (restart r seeds from (config.seed, r), so results are
@@ -224,7 +315,7 @@ def tile_filter(filter_matrix: np.ndarray, repetitions: int) -> np.ndarray:
 
 def maximize_mi_conv(budget: float, block: BlockCovariance, num_filters: int,
                      noise_var: float, config: OptimizerConfig) -> OptimizeResult:
-    """Projected gradient ascent over the tied convolution filter.
+    """Trust-region Newton ascent over the tied convolution filter.
 
     The input covariance is block-diagonal, so the full-channel MI of a tiled
     filter is repetitions times its MI on one block: the ascent runs on one

@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
+    NumericalOverflow,
 )
 
 # Reject covariances whose smallest eigenvalue falls below this fraction of
@@ -73,8 +74,12 @@ class Spectrum:
         object.__setattr__(self, "values", _frozen_array(vals))
         # A running sum adds up to n * eps of rounding; accumulating in extended
         # precision (where the platform has it) keeps each prefix correctly rounded.
-        for name, terms in (("_inverse_prefix", inverse), ("_log_prefix", np.log(vals))):
-            object.__setattr__(self, name, _frozen_array(np.cumsum(terms, dtype=np.longdouble)))
+        # A 1/lambda prefix past the double range is stored as inf, which
+        # ``inverse_trace`` refuses to return.
+        with np.errstate(over="ignore"):
+            for name, terms in (("_inverse_prefix", inverse), ("_log_prefix", np.log(vals))):
+                object.__setattr__(self, name,
+                                   _frozen_array(np.cumsum(terms, dtype=np.longdouble)))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -87,8 +92,17 @@ class Spectrum:
         return float(out) if out.ndim == 0 else out
 
     def inverse_trace(self, count):
-        """Sum of 1 / lambda over the leading ``count`` entries (elementwise)."""
-        return self._prefix(self._inverse_prefix, count)
+        """Sum of 1 / lambda over the leading ``count`` entries (elementwise).
+
+        Raises NumericalOverflow when a requested sum passes the double range.
+        """
+        out = self._prefix(self._inverse_prefix, count)
+        if not math.isfinite(self._inverse_prefix[-1]) and not np.all(np.isfinite(out)):
+            first = int(np.argmin(np.isfinite(self._inverse_prefix))) + 1
+            raise NumericalOverflow(
+                f"the sum of 1/eigenvalue passes the double range at eigenvalue {first} "
+                f"of {len(self)}; capacities that read it cannot be evaluated")
+        return out
 
     def log_det(self, count):
         """Sum of log lambda over the leading ``count`` entries (elementwise)."""

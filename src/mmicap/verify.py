@@ -156,7 +156,7 @@ def _check_achievability(seed: int, mmi_offset: float, instances: int = 40) -> d
 
 
 def _check_optimizer(seed: int, instances: int = 3) -> dict:
-    """Projected gradient ascent must land within 1e-4 nats of the closed form."""
+    """The trust-region ascent must land within 1e-4 nats of the closed form."""
     rng = np.random.default_rng([seed, 2])
     worst = 0.0
     sound = converged = True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NegativeBudget, NonPositiveEigenvalue
+from .errors import IndexOutOfRange, NegativeBudget, NonPositiveEigenvalue, NumericalOverflow
 from .spectrum import Spectrum, _frozen_array
 
 
@@ -22,7 +22,9 @@ from .spectrum import Spectrum, _frozen_array
 class Breakpoints:
     """Budgets at which component k = 1..n enters the active set.
 
-    The sequence starts at exactly zero and is non-decreasing.
+    The sequence starts at exactly zero and is non-decreasing.  A breakpoint
+    past the double range is held as inf: the regime lookup compares against
+    it correctly, and ``finite`` refuses to hand it out.
     """
 
     values: np.ndarray
@@ -32,6 +34,14 @@ class Breakpoints:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    def finite(self) -> np.ndarray:
+        """``values``; raises NumericalOverflow if one passes the double range."""
+        if not np.isfinite(self.values[-1]):
+            first = int(np.argmin(np.isfinite(self.values))) + 1
+            raise NumericalOverflow(
+                f"breakpoint {first} of {len(self)} passes the double range")
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,9 @@ def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
             f"noise_var / eigenvalue overflows for noise_var {noise_var} and "
             f"eigenvalue {spectrum.values[n_tilde - 1]}")
     floors = noise_var / spectrum.values[:n_tilde]
-    steps = np.arange(1, n_tilde, dtype=np.float64) * np.diff(floors)
-    return floors, np.concatenate(([0.0], np.cumsum(steps)))
+    with np.errstate(over="ignore"):  # held as inf, see Breakpoints
+        steps = np.arange(1, n_tilde, dtype=np.float64) * np.diff(floors)
+        return floors, np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoints:
@@ -81,7 +92,7 @@ def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoin
 
 def breakpoint_value(spectrum: Spectrum, noise_var: float, k: int) -> float:
     """The budget at which component ``k`` (1-based) enters the active set."""
-    return float(breakpoints(spectrum, noise_var, k).values[-1])
+    return float(breakpoints(spectrum, noise_var, k).finite()[-1])
 
 
 def regime(budget, bp: Breakpoints):

@@ -433,6 +433,27 @@ class TestInputErrors:
         else:
             assert err.startswith("error:") and f"eigenvalue 7099 of {n0}" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, code, text", [
+        (["mmi", "--arch", "fc:7098,2", "--F", "1"], 0, '"active_components": 2'),
+        (["mmi", "--arch", "fc:7098,7098", "--F", "1"], 0, '"mmi": 0.400057181'),
+        (["breakpoints", "--arch", "fc:7098,7098"], 2, "breakpoint 7011 of 7098"),
+        (["breakpoints", "--arch", "fc:7098,7098", "--out", "csv"], 2,
+         "breakpoint 7011 of 7098"),
+        (["mmi", "--arch", "fc:7098,7098", "--sigma2", "1e-10", "--F", "1e303"], 2,
+         "eigenvalue 7076 of 7098"),
+    ], ids=["fc-narrow", "fc-wide", "breakpoints-json", "breakpoints-csv", "prefix"])
+    def test_long_exp_spectrum_overflow_is_typed_not_warned(self, capsys, args, code, text):
+        # the 1/lambda prefix and the breakpoints of exp:0.1 at n = 7098 pass the
+        # double range near the tail: queries that stay short of it answer, the
+        # rest exit 2 naming the first component past it
+        result, out, err = run_cli(args + ["--spectrum", "exp:0.1"], capsys)
+        assert result == code
+        if code == 0:
+            assert text in out
+        else:
+            assert out == "" and err.startswith("error:") and text in err
+
     @pytest.mark.parametrize("source", ["csv", "config"])
     def test_conv_block_of_the_wrong_size_exits_2(self, tmp_path, capsys, source):
         csv_path = tmp_path / "cov.csv"

@@ -15,7 +15,9 @@ from mmicap import (
     DimensionMismatch,
     InfeasibleFactorization,
     OptimizerConfig,
+    Spectrum,
     WeightMatrix,
+    breakpoints,
     build_optimal_weights,
     decompose_covariance,
     eigvals_from_covariance,
@@ -28,6 +30,7 @@ from mmicap import (
     mmi_fc,
     tile_filter,
 )
+from mmicap import oracle
 
 
 def random_cov(rng, dim, jitter=0.1):
@@ -245,6 +248,172 @@ class TestMaximizeMiConv:
         assert len(calls) == 1
 
 
+class TestHessian:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (5, 2), (1, 1)])
+    def test_matches_central_differences_of_the_gradient(self, shape):
+        rng = np.random.default_rng(30)
+        hidden, inputs = shape
+        cov = random_cov(rng, inputs).entries
+        noise_var = 0.7
+        w = rng.standard_normal(shape)
+
+        def grad_at(x):
+            factor, _ = oracle._mi_value(x, cov, noise_var)
+            return oracle._gradient(x, factor, cov, noise_var)
+
+        factor, _ = oracle._mi_value(w, cov, noise_var)
+        hess = oracle._hessian(w, grad_at(w), factor, cov, noise_var)
+        step = 1e-5
+        numeric = np.empty_like(hess)
+        for col in range(w.size):
+            bump = np.zeros(w.size)
+            bump[col] = step
+            bump = bump.reshape(shape)
+            numeric[:, col] = ((grad_at(w + bump) - grad_at(w - bump)) / (2 * step)).ravel()
+        assert np.max(np.abs(hess - numeric)) <= 3e-9
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-14)
+
+    def test_horizontal_basis_excludes_scaling_and_rotations(self):
+        rng = np.random.default_rng(31)
+        for hidden, inputs in [(2, 3), (3, 4), (4, 2), (3, 3)]:
+            w = rng.standard_normal((hidden, inputs))
+            basis = oracle._horizontal_basis(w)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+            # hd - 1 less the rank of J -> J W on skew J, which is dim so(h) less
+            # dim so(h - rank W): rotations inside the complement of W's range fix W
+            rank = min(hidden, inputs)
+            expected = hidden * inputs - 1 - hidden * (hidden - 1) // 2 \
+                + (hidden - rank) * (hidden - rank - 1) // 2
+            assert basis.shape[1] == expected
+            for col in basis.T:
+                xi = col.reshape(w.shape)
+                assert abs(np.sum(xi * w)) <= 1e-12
+                np.testing.assert_allclose(xi @ w.T, w @ xi.T, atol=1e-12)
+
+    def test_empty_horizontal_space_converges_at_once(self):
+        # one input: the MI is a function of |W|^2 alone, constant on the sphere
+        w = random_weights_on_sphere(np.random.default_rng(32), 5, 1, 2.0).entries
+        assert oracle._horizontal_basis(w).shape[1] == 0
+        config = OptimizerConfig(tolerance=1e-300)
+        _, nats, converged, iterations, _ = oracle._ascend(
+            w, 2.0, np.array([[1.5]]), 1.0, config)
+        assert converged and iterations == 0
+        assert nats == pytest.approx(0.5 * math.log1p(3.0), abs=1e-15)
+
+
+class TestTrustRegionStep:
+    @staticmethod
+    def model(grad, hess, x):
+        return grad @ x + 0.5 * x @ hess @ x
+
+    def test_interior_newton_step(self):
+        hess = -np.array([[2.0, 0.5], [0.5, 1.0]])
+        grad = np.array([0.1, -0.2])
+        x = oracle._trust_region_step(grad, hess, 10.0)
+        np.testing.assert_allclose(x, np.linalg.solve(-hess, grad), rtol=1e-14)
+
+    def test_hard_case_fills_the_radius_along_the_top_curvature(self):
+        # no gradient along e1, where the model curves upward: x(nu) never
+        # reaches the radius, so e1 supplies the rest of it
+        hess, grad = np.diag([1.0, -1.0]), np.array([0.0, 1.0])
+        x = oracle._trust_region_step(grad, hess, 2.0)
+        assert np.linalg.norm(x) == pytest.approx(2.0, rel=1e-14)
+        assert self.model(grad, hess, x) == pytest.approx(2.25, rel=1e-14)
+
+    def test_boundary_steps_beat_every_point_of_the_ball(self):
+        rng = np.random.default_rng(33)
+        points = rng.standard_normal((200000, 3))
+        points *= rng.uniform(0, 1, size=(points.shape[0], 1)) ** (1 / 3) \
+            / np.linalg.norm(points, axis=1, keepdims=True)
+        for _ in range(10):
+            b = rng.standard_normal((3, 3))
+            hess, grad = b + b.T, rng.standard_normal(3)
+            radius = float(rng.uniform(0.1, 2.0))
+            x = oracle._trust_region_step(grad, hess, radius)
+            # More-Sorensen optimality: (nu Id - hess) x = grad with nu Id - hess
+            # positive semi-definite, on the boundary whenever nu > 0
+            nu = x @ (grad + hess @ x) / (x @ x)
+            np.testing.assert_allclose(nu * x - hess @ x, grad, atol=1e-10)
+            assert nu >= max(0.0, np.linalg.eigvalsh(hess)[-1]) - 1e-10
+            assert np.linalg.norm(x) == pytest.approx(radius, rel=1e-11)
+            sampled = points * radius
+            best = np.max(sampled @ grad + 0.5 * np.einsum("ij,jk,ik->i", sampled, hess, sampled))
+            assert self.model(grad, hess, x) >= best - 1e-12
+
+
+def _record_runs(monkeypatch):
+    runs = []
+    ascend = oracle._ascend
+
+    def recording(*args, **kwargs):
+        result = ascend(*args, **kwargs)
+        runs.append(result[3])
+        return result
+
+    monkeypatch.setattr(oracle, "_ascend", recording)
+    return runs
+
+
+def _rotated(rng, eigvals):
+    basis, _ = np.linalg.qr(rng.standard_normal((eigvals.size, eigvals.size)))
+    return CovarianceMatrix((basis * eigvals) @ basis.T)
+
+
+class TestTrustRegionGates:
+    def test_conv_instances_converge_within_50_iterations(self, monkeypatch):
+        runs = _record_runs(monkeypatch)
+        rng = np.random.default_rng(40)
+        worst = 0.0
+        for i in range(100):
+            block = BlockCovariance(random_cov(rng, 3), 4)
+            budget = float(rng.uniform(0.5, 3.0))
+            result = maximize_mi_conv(budget, block, 2, 1.0,
+                                      OptimizerConfig(restarts=4, seed=i))
+            assert result.converged
+            worst = max(worst, mmi_conv(ChannelParams(1.0, budget), block, 2).nats
+                        - result.nats)
+        assert len(runs) == 400 and max(runs) <= 50
+        assert worst <= 1e-12
+
+    def test_near_degenerate_pairs_beside_a_breakpoint(self, monkeypatch):
+        runs = _record_runs(monkeypatch)
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for i, (input_dim, hidden_dim) in enumerate([(3, 2), (4, 3)] * 10):
+            eigvals = np.exp(rng.uniform(-1.0, 1.0, size=input_dim))
+            k = int(rng.integers(input_dim - 1))
+            eigvals[k + 1] = eigvals[k] * (1.0 - 10.0 ** rng.uniform(-4, -2))
+            spectrum = Spectrum(np.sort(eigvals)[::-1])
+            cov = _rotated(rng, spectrum.values)
+            rho = breakpoints(spectrum, 1.0, hidden_dim).values
+            budget = float(rho[int(rng.integers(1, rho.size))]
+                           * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5, -3)))
+            result = maximize_mi(budget, cov, 1.0, hidden_dim,
+                                 OptimizerConfig(restarts=4, seed=i))
+            assert result.converged
+            closed = mmi_fc(ChannelParams(1.0, budget), spectrum, input_dim, hidden_dim)
+            worst = max(worst, abs(closed.nats - result.nats))
+        assert max(runs) <= 50
+        assert worst <= 1e-11
+
+    def test_budget_just_below_the_second_breakpoint(self, monkeypatch):
+        # Two hidden units and a vanishing second component: with the rotation of
+        # the hidden units left in the step space, its flat curvature took the whole
+        # trust region and the ascent ran to max_iters.
+        runs = _record_runs(monkeypatch)
+        rng = np.random.default_rng(42)
+        for i in range(10):
+            cov = random_cov(rng, 3)
+            spectrum = eigvals_from_covariance(cov)
+            budget = float(breakpoints(spectrum, 1.0, 2).values[1]
+                           * (1.0 - 10.0 ** rng.uniform(-6, -2)))
+            result = maximize_mi(budget, cov, 1.0, 2, OptimizerConfig(restarts=2, seed=i))
+            assert result.converged
+            closed = mmi_fc(ChannelParams(1.0, budget), spectrum, 3, 2).nats
+            assert abs(closed - result.nats) <= 1e-11
+        assert max(runs) <= 50
+
+
 class TestFactorCheckMultilayer:
     def test_identity_factorization(self):
         rng = np.random.default_rng(14)
@@ -316,3 +485,22 @@ def test_runtime_imports_no_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
+
+
+def test_ascent_path_reads_nothing_from_the_closed_form():
+    # the optimizer is an independent oracle: none of its functions may use a
+    # name imported from the water-filling or capacity modules
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    closed_form = {alias.asname or alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module in ("waterfill", "mmi")
+                   for alias in node.names}
+    assert closed_form  # the module does import from them, for build_optimal_weights
+    ascent = {"_ascend", "_hessian", "_horizontal_basis", "_trust_region_step",
+              "_mi_value", "_gradient", "_multistart"}
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in ascent]
+    assert {f.name for f in functions} == ascent
+    for function in functions:
+        used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        assert not used & closed_form, (function.name, used & closed_form)

@@ -17,6 +17,7 @@ from mmicap import (
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
+    NumericalOverflow,
     Spectrum,
     decompose_covariance,
     eigvals_from_covariance,
@@ -286,3 +287,13 @@ def test_spectrum_json_rejects_what_the_cli_rejects(tmp_path, doc):
 def test_model_spectrum_takes_numpy_scalars():
     spec = model_spectrum("exp_decay", np.int64(3), rate=np.float32(0.5))
     np.testing.assert_array_equal(spec.values, np.exp(-np.float32(0.5) * np.arange(3.0)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_prefix_past_the_double_range_raises_when_read():
+    spectrum = model_spectrum("exp_decay", 7098, rate=0.1)
+    assert math.isfinite(spectrum.inverse_trace(7075))
+    for count in (7076, 7098, np.array([1, 7098])):
+        with pytest.raises(NumericalOverflow, match="eigenvalue 7076 of 7098"):
+            spectrum.inverse_trace(count)
+    assert math.isfinite(spectrum.log_det(7098))

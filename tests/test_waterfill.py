@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmicap import (
+    ArchitectureSpec,
+    FullyConnected,
     IndexOutOfRange,
     NegativeBudget,
     NonPositiveEigenvalue,
+    NumericalOverflow,
+    evaluate,
+    invert_mmi,
     breakpoint_value,
     breakpoints,
     model_spectrum,
@@ -267,3 +272,22 @@ class TestSolveWaterfillLarge:
         assert np.all(sol.allocations[m:] == 0.0)
         assert sol.water_level <= floors[m]
         assert abs(sol.budget_used - budget) <= 1e-12 * budget
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_breakpoints_past_the_double_range_are_held_not_read():
+    spectrum = model_spectrum("exp_decay", 7098, rate=0.1)
+    bp = breakpoints(spectrum, 1.0, 7098)
+    assert np.all(np.isfinite(bp.values[:7010])) and np.all(np.isinf(bp.values[7010:]))
+    with pytest.raises(NumericalOverflow, match="breakpoint 7011 of 7098"):
+        bp.finite()
+    with pytest.raises(NumericalOverflow, match="breakpoint 7011 of 7098"):
+        breakpoint_value(spectrum, 1.0, 7098)
+    assert breakpoint_value(spectrum, 1.0, 7010) == bp.values[7009]
+    np.testing.assert_array_equal(breakpoints(spectrum, 1.0, 7010).finite(), bp.values[:7010])
+    # the regime lookup and the allocation read only breakpoints at or below the budget
+    assert regime(np.finfo(float).max, bp) == 7098 - 7010
+    assert solve_waterfill(1.0, spectrum, 1.0, 7098).active_count == 4
+    arch = ArchitectureSpec(FullyConnected(7098, 7098))
+    budget = invert_mmi(arch, spectrum, 1.0, 5.0)
+    assert evaluate(arch, spectrum, 1.0, budget).nats == pytest.approx(5.0, abs=1e-12)
