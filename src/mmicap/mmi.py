@@ -115,6 +115,7 @@ class MmiResult:
     active_components = bottleneck - regime is the branch order of the
     piecewise formula that produced ``nats``.  For an array of budgets,
     ``nats``, ``regime`` and ``active_components`` are arrays over them.
+    Immutable: every point of a curve shares one ``breakpoints``.
     """
 
     nats: float
@@ -135,7 +136,7 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, budget, active_count):
     log(F / (s T_m))) + (1/2)(m log(T_m / m) + log det_m), in which s enters
     through one log ratio, so the value is finite wherever the capacity is."""
     m = np.asarray(active_count)
-    log_trace = np.log(spectrum.inverse_trace(m))
+    log_trace = spectrum.log_inverse_trace(m)
     with np.errstate(divide="ignore"):
         log_ratio = np.log(budget) - math.log(noise_var) - log_trace
     nats = 0.5 * m * np.logaddexp(0.0, log_ratio) \
@@ -232,19 +233,25 @@ def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("budget grid must be ascending")
     out = evaluate(arch, source, noise_var, grid)
-    return [(float(f), MmiResult(float(v), int(k), out.breakpoints, int(m)))
-            for f, v, k, m in zip(grid, out.nats, out.regime, out.active_components)]
+    bp = out.breakpoints
+    return [(f, MmiResult(v, k, bp, m)) for f, v, k, m in zip(
+        grid.tolist(), out.nats.tolist(), out.regime.tolist(),
+        out.active_components.tolist())]
 
 
 def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
                target_nats: float, budget_max: float = DEFAULT_BUDGET_MAX) -> float:
     """Budget at which the capacity reaches ``target_nats``, in closed form.
 
-    Every family is r times a dense capacity, inverted here at target / r.
-    With m components active the water level starts at s / lambda_m at the
-    breakpoint rho_m, so in that regime C(F) = C(rho_m) + (m / 2) log1p((F -
-    rho_m) / (m s / lambda_m)), which inverts without cancellation; m is the
-    number of breakpoints whose capacity does not exceed the target.
+    Two scalar ``evaluate`` calls and a binary search.  Every family is r
+    times a dense capacity, inverted here at target / r.  With m components
+    active the water level starts at s / lambda_m at the breakpoint rho_m, so
+    in that regime C(F) = C(rho_m) + (m / 2) log1p((F - rho_m) / (m s /
+    lambda_m)), which inverts without cancellation.  The capacity at
+    ``budget_max`` raises TargetUnreachable and gives the breakpoints; m is
+    the number of breakpoint capacities (``Spectrum.breakpoint_capacities``)
+    that do not exceed the target, found by binary search; C(rho_m) is the
+    second evaluation.
     """
     if not target_nats > 0.0:
         raise ValueError(f"target_nats must be positive, got {target_nats}")
@@ -255,8 +262,9 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     if ceiling.nats < target:
         raise TargetUnreachable(
             f"target {target_nats} nats exceeds the capacity at budget {budget_max}")
-    rho = ceiling.breakpoints.values[:ceiling.active_components]
+    capacities = spectrum.breakpoint_capacities[:ceiling.active_components]
+    m = int(np.searchsorted(capacities, target, side="right"))
+    rho = float(ceiling.breakpoints.values[m - 1])
     at_rho = evaluate(dense, spectrum, noise_var, rho).nats
-    m = int(np.count_nonzero(at_rho <= target))
     level = noise_var / spectrum.values[m - 1]
-    return float(rho[m - 1] + m * level * math.expm1(2.0 * (target - at_rho[m - 1]) / m))
+    return float(rho + m * level * math.expm1(2.0 * (target - at_rho) / m))

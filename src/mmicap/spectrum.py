@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,12 +50,16 @@ class Spectrum:
     """Strictly positive covariance eigenvalues, sorted descending.
 
     Component indices are 1-based in every user-facing API (index 1 is the
-    largest eigenvalue).  The prefix sums of reciprocal and log eigenvalues
-    that every closed-form branch reads are computed once, at construction.
+    largest eigenvalue).  Construction computes the prefix sums that every
+    closed-form branch reads: of 1/lambda (held also as their logs, which
+    stay finite past the double range) and of log lambda.  The capacities at
+    the breakpoints, which only budget inversion reads, are computed on first
+    use and then held.
     """
 
     values: np.ndarray
     _inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _log_prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -75,11 +80,21 @@ class Spectrum:
         # A running sum adds up to n * eps of rounding; accumulating in extended
         # precision (where the platform has it) keeps each prefix correctly rounded.
         # A 1/lambda prefix past the double range is stored as inf, which
-        # ``inverse_trace`` refuses to return.
+        # ``inverse_trace`` refuses to return; its log stays finite, continued
+        # past the last finite sum as a running log-sum-exp.
+        logs = np.log(vals)
         with np.errstate(over="ignore"):
-            for name, terms in (("_inverse_prefix", inverse), ("_log_prefix", np.log(vals))):
-                object.__setattr__(self, name,
-                                   _frozen_array(np.cumsum(terms, dtype=np.longdouble)))
+            inverse_prefix = _frozen_array(np.cumsum(inverse, dtype=np.longdouble))
+        log_inverse_prefix = np.log(inverse_prefix)
+        if not math.isfinite(inverse_prefix[-1]):
+            first = int(np.argmin(np.isfinite(inverse_prefix)))
+            log_inverse_prefix[first - 1:] = np.logaddexp.accumulate(
+                np.append(log_inverse_prefix[first - 1], -logs[first:]))
+        log_inverse_prefix.flags.writeable = False
+        object.__setattr__(self, "_inverse_prefix", inverse_prefix)
+        object.__setattr__(self, "_log_inverse_prefix", log_inverse_prefix)
+        object.__setattr__(self, "_log_prefix",
+                           _frozen_array(np.cumsum(logs, dtype=np.longdouble)))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -104,9 +119,30 @@ class Spectrum:
                 f"of {len(self)}; capacities that read it cannot be evaluated")
         return out
 
+    def log_inverse_trace(self, count):
+        """log of ``inverse_trace(count)``, finite even where that sum is not."""
+        return self._prefix(self._log_inverse_prefix, count)
+
     def log_det(self, count):
         """Sum of log lambda over the leading ``count`` entries (elementwise)."""
         return self._prefix(self._log_prefix, count)
+
+    @cached_property
+    def breakpoint_capacities(self) -> np.ndarray:
+        """Dense capacity at the k-th breakpoint, k = 1..n, in nats.
+
+        With the water level at s / lambda_k the capacity is
+        c_k = (1/2) sum_{i<=k} log(lambda_i / lambda_k), whatever the noise
+        variance s.  Built as c_1 = 0, c_{k+1} = c_k + (k/2)(log lambda_k -
+        log lambda_{k+1}), whose increments are non-negative, so the sequence
+        is non-decreasing bit-for-bit.
+        """
+        logs = np.log(self.values)
+        steps = np.arange(1, len(self)) * (logs[:-1] - logs[1:])
+        out = np.zeros(len(self))
+        out[1:] = 0.5 * np.cumsum(steps, dtype=np.longdouble)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -114,7 +150,8 @@ class CovarianceMatrix:
     """Symmetric positive-definite covariance of the Gaussian input.
 
     Symmetry is enforced at construction; positive definiteness is enforced
-    wherever the matrix is factorized (eigendecomposition, Cholesky).
+    wherever the matrix is factorized (eigendecomposition, Cholesky).  The
+    eigendecomposition is computed on first use and held (``decompose_covariance``).
     """
 
     entries: np.ndarray
@@ -133,6 +170,17 @@ class CovarianceMatrix:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
+
+    @cached_property
+    def _decomposition(self) -> SpectralDecomposition:
+        eigvals, eigvecs = np.linalg.eigh(self.entries)
+        eigvals = eigvals[::-1]
+        eigvecs = eigvecs[:, ::-1]
+        if eigvals[0] <= 0.0 or eigvals[-1] <= RELATIVE_PD_FLOOR * eigvals[0]:
+            raise NotPositiveDefinite(
+                f"smallest eigenvalue {eigvals[-1]:.6e} is not safely positive"
+            )
+        return SpectralDecomposition(Spectrum(eigvals), _frozen_array(eigvecs))
 
 
 @dataclass(frozen=True)
@@ -178,17 +226,12 @@ class SpectralDecomposition:
 def decompose_covariance(cov: CovarianceMatrix) -> SpectralDecomposition:
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 
-    Raises ``NotPositiveDefinite`` when the smallest eigenvalue is not
-    safely positive (below ``RELATIVE_PD_FLOOR`` times the largest).
+    Computed once per covariance and held on it; every later call returns
+    the same read-only result.  Raises ``NotPositiveDefinite`` (on every
+    call) when the smallest eigenvalue is not safely positive (below
+    ``RELATIVE_PD_FLOOR`` times the largest).
     """
-    eigvals, eigvecs = np.linalg.eigh(cov.entries)
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
-    if eigvals[0] <= 0.0 or eigvals[-1] <= RELATIVE_PD_FLOOR * eigvals[0]:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {eigvals[-1]:.6e} is not safely positive"
-        )
-    return SpectralDecomposition(Spectrum(eigvals), _frozen_array(eigvecs))
+    return cov._decomposition
 
 
 def eigvals_from_covariance(cov: CovarianceMatrix) -> Spectrum:

@@ -440,13 +440,15 @@ class TestInputErrors:
         (["breakpoints", "--arch", "fc:7098,7098"], 2, "breakpoint 7011 of 7098"),
         (["breakpoints", "--arch", "fc:7098,7098", "--out", "csv"], 2,
          "breakpoint 7011 of 7098"),
-        (["mmi", "--arch", "fc:7098,7098", "--sigma2", "1e-10", "--F", "1e303"], 2,
-         "eigenvalue 7076 of 7098"),
+        # log T = 0.1 n + log1p(-e^{-0.1 n}) - log(expm1(0.1)) gives 1266963.684 nats
+        (["mmi", "--arch", "fc:7098,7098", "--sigma2", "1e-10", "--F", "1e303"], 0,
+         '"mmi": 1266963.68,'),
     ], ids=["fc-narrow", "fc-wide", "breakpoints-json", "breakpoints-csv", "prefix"])
     def test_long_exp_spectrum_overflow_is_typed_not_warned(self, capsys, args, code, text):
         # the 1/lambda prefix and the breakpoints of exp:0.1 at n = 7098 pass the
-        # double range near the tail: queries that stay short of it answer, the
-        # rest exit 2 naming the first component past it
+        # double range near the tail: the capacity reads the prefix only through
+        # its log and answers, the breakpoint table exits 2 naming the first
+        # component past it
         result, out, err = run_cli(args + ["--spectrum", "exp:0.1"], capsys)
         assert result == code
         if code == 0:

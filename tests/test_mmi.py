@@ -29,6 +29,9 @@ from mmicap import (
     model_spectrum,
 )
 
+# Any overflow in a prefix sum fails loudly instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TWO_ONE = model_spectrum("explicit", values=[2.0, 1.0])
 FULL_BUDGET_NATS = math.log(2.0) + 0.5 * math.log(2.0)       # 1.0397207708399179
 SMALL_BUDGET_NATS = 0.5 * math.log(1.5)                      # 0.2027325540540822
@@ -342,6 +345,13 @@ class TestArrayEvaluate:
                 assert alone.regime + alone.active_components == n_tilde
             assert together.nats[0] == 0.0
 
+    def test_results_are_immutable(self):
+        result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5)
+        [(_, point)] = mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, [2.5])
+        for value in (result, point):
+            with pytest.raises(AttributeError):
+                value.nats = 0.0
+
     def test_scalar_budget_gives_python_numbers(self):
         result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5)
         assert type(result.nats) is float
@@ -427,6 +437,46 @@ class TestClosedFormInversion:
         budgets = np.concatenate((rho[[1, 10, 999, n - 1]], [0.3, 123.4, 2.0 * rho[-1]]))
         targets = evaluate(arch, spec, 1.0, budgets).nats
         self.assert_round_trips(monkeypatch, arch, spec, targets, 4.0 * rho[-1])
+
+    def test_breakpoint_capacities_match_evaluate(self):
+        rng = np.random.default_rng(36)
+        spec, arch = random_spectrum(rng, 30), ArchitectureSpec(FullyConnected(30, 30))
+        c = spec.breakpoint_capacities
+        for noise_var in (1e-3, 1.0, 1e3):
+            at_rho = evaluate(arch, spec, noise_var, breakpoints(spec, noise_var, 30).values)
+            assert c[0] == at_rho.nats[0] == 0.0
+            np.testing.assert_allclose(c, at_rho.nats, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("noise_var", [1e-3, 1.0, 1e3])
+    def test_breakpoint_capacity_targets_round_trip(self, noise_var):
+        rng = np.random.default_rng(37)
+        spec, arch = random_spectrum(rng, 15), ArchitectureSpec(FullyConnected(15, 15))
+        rho = breakpoints(spec, noise_var, 15).values
+        for k in range(1, 15):
+            budget = invert_mmi(arch, spec, noise_var, float(spec.breakpoint_capacities[k]),
+                                budget_max=2.0 * rho[-1])
+            assert budget == pytest.approx(rho[k], rel=1e-12, abs=0.0)
+
+    def test_two_scalar_evaluates_on_a_wide_fc_and_on_conv(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        wide = random_spectrum(rng, 20_000)
+        block = rotated_block(rng, np.sort(np.exp(rng.uniform(-2.0, 2.0, 64)))[::-1], 16)
+        cases = [(ArchitectureSpec(FullyConnected(20_000, 20_000)), wide, 1e6),
+                 (ArchitectureSpec(Convolutional(1024, 64, 32)), block, 1e3)]
+        for arch, source, budget_max in cases:
+            targets = evaluate(arch, source, 1.0, budget_max * np.array([1e-4, 0.1, 0.9])).nats
+            for target in targets:
+                calls = counting(monkeypatch, "evaluate")
+                budget = invert_mmi(arch, source, 1.0, float(target), budget_max=budget_max)
+                assert len(calls) == 2 and all(np.ndim(args[3]) == 0 for args in calls)
+                monkeypatch.undo()
+                reached = evaluate(arch, source, 1.0, budget).nats
+                assert abs(reached - target) <= 1e-9
+            calls = counting(monkeypatch, "evaluate")
+            with pytest.raises(TargetUnreachable):
+                invert_mmi(arch, source, 1.0, float(targets[-1]), budget_max=0.5 * budget_max)
+            assert len(calls) == 1
+            monkeypatch.undo()
 
     def test_target_on_a_breakpoint_returns_it(self):
         arch = ArchitectureSpec(FullyConnected(2, 2))

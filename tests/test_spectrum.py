@@ -26,6 +26,9 @@ from mmicap import (
     model_spectrum,
 )
 
+# Any overflow in a prefix sum fails loudly instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def lu_determinant(matrix):
     """Independent determinant via plain Gaussian elimination with pivoting."""
@@ -104,6 +107,46 @@ class TestEigvalsFromCovariance:
     def test_near_singular_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             eigvals_from_covariance(CovarianceMatrix(np.diag([1.0, 1e-14])))
+
+
+class TestDecompositionIsHeld:
+    def counting_eigh(self, monkeypatch):
+        original, calls = np.linalg.eigh, []
+
+        def wrapper(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", wrapper)
+        return calls
+
+    def test_one_eigh_per_covariance(self, monkeypatch):
+        cov = random_spd(np.random.default_rng(41), 5)
+        calls = self.counting_eigh(monkeypatch)
+        first, second = decompose_covariance(cov), decompose_covariance(cov)
+        assert len(calls) == 1 and second is first
+        assert eigvals_from_covariance(cov) is first.spectrum and len(calls) == 1
+        assert not first.eigenvectors.flags.writeable
+        assert not first.spectrum.values.flags.writeable
+
+    def test_distinct_covariances_do_not_share_it(self, monkeypatch):
+        entries = random_spd(np.random.default_rng(42), 4).entries
+        calls = self.counting_eigh(monkeypatch)
+        one, other = CovarianceMatrix(entries), CovarianceMatrix(2.0 * entries)
+        np.testing.assert_array_equal(decompose_covariance(other).spectrum.values,
+                                      2.0 * decompose_covariance(one).spectrum.values)
+        assert len(calls) == 2
+        assert decompose_covariance(CovarianceMatrix(entries)) is not \
+            decompose_covariance(one)
+        assert len(calls) == 3
+
+    def test_a_failure_is_raised_on_every_call(self, monkeypatch):
+        cov = CovarianceMatrix(np.diag([1.0, 0.0]))
+        calls = self.counting_eigh(monkeypatch)
+        for attempt in (1, 2):
+            with pytest.raises(NotPositiveDefinite):
+                decompose_covariance(cov)
+            assert len(calls) == attempt
 
 
 class TestModelSpectrum:
@@ -297,3 +340,45 @@ def test_inverse_prefix_past_the_double_range_raises_when_read():
         with pytest.raises(NumericalOverflow, match="eigenvalue 7076 of 7098"):
             spectrum.inverse_trace(count)
     assert math.isfinite(spectrum.log_det(7098))
+
+
+class TestBreakpointCapacities:
+    def test_match_the_sum_by_hand(self):
+        # c_k = (1/2) sum_{i<=k} log(lambda_i / lambda_k)
+        rng = np.random.default_rng(43)
+        spectrum = model_spectrum("explicit", values=np.exp(rng.uniform(-5.0, 5.0, 40)))
+        logs = np.log(spectrum.values)
+        by_hand = [0.5 * math.fsum(logs[:k + 1] - logs[k]) for k in range(40)]
+        np.testing.assert_allclose(spectrum.breakpoint_capacities, by_hand,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0],
+        [1.0 + 1e-15, 1.0 + 5e-16, 1.0, 1.0, 1.0 - 1e-16],
+        [5.0],
+        "harmonic",
+    ], ids=["repeated", "ulp-apart", "single", "harmonic"])
+    def test_never_decrease(self, values):
+        spectrum = (model_spectrum("harmonic", 20_000) if values == "harmonic"
+                    else model_spectrum("explicit", values=values))
+        c = spectrum.breakpoint_capacities
+        assert c.shape == (len(spectrum),) and c[0] == 0.0
+        assert np.all(np.diff(c) >= 0.0) and np.all(np.isfinite(c))
+        assert not c.flags.writeable
+        repeated = np.flatnonzero(np.diff(spectrum.values) == 0.0)
+        assert np.all(c[repeated + 1] == c[repeated])
+
+    def test_computed_once(self):
+        spectrum = model_spectrum("harmonic", 10)
+        assert spectrum.breakpoint_capacities is spectrum.breakpoint_capacities
+
+
+def test_log_inverse_trace_stays_finite_past_the_double_range():
+    # exp(-0.1 i), i < n: the sum of 1/lambda is (e^{0.1 n} - 1) / (e^{0.1} - 1)
+    spectrum = model_spectrum("exp_decay", 7098, rate=0.1)
+    counts = np.array([2, 100, 7075, 7076, 7098])
+    expected = [0.1 * n + math.log1p(-math.exp(-0.1 * n)) - math.log(math.expm1(0.1))
+                for n in counts]
+    np.testing.assert_allclose(spectrum.log_inverse_trace(counts), expected,
+                               rtol=1e-14, atol=0.0)
+    assert spectrum.log_inverse_trace(7075) == math.log(spectrum.inverse_trace(7075))
