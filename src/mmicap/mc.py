@@ -57,7 +57,7 @@ def _tanh_log_deriv(a: np.ndarray) -> np.ndarray:
     return 2.0 * (math.log(2.0) - mag - np.log1p(np.exp(-2.0 * mag)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelModel:
     """A noisy single-layer channel: mean map plus isotropic Gaussian noise.
 

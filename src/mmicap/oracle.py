@@ -31,7 +31,7 @@ RANK_RTOL = 1e-12
 ACCEPT_RATIO = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """A hidden_dim x input_dim weight matrix with its cached squared norm."""
 

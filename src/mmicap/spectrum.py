@@ -45,22 +45,31 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Strictly positive covariance eigenvalues, sorted descending.
 
     Component indices are 1-based in every user-facing API (index 1 is the
-    largest eigenvalue).  Construction computes the prefix sums that every
-    closed-form branch reads: of 1/lambda (held also as their logs, which
-    stay finite past the double range) and of log lambda.  The capacities at
-    the breakpoints, which only budget inversion reads, are computed on first
-    use and then held.
+    largest eigenvalue).  Everything held on a spectrum is read-only:
+
+    - at construction, the prefix sums that every closed-form branch reads:
+      of 1/lambda (held also as their logs, which stay finite past the double
+      range) and of log lambda;
+    - on first use, the capacities at the breakpoints, which only budget
+      inversion reads;
+    - the water-filling state (floors and breakpoints) of the last
+      ``(noise_var, n_tilde)`` asked for, replaced when another is asked for
+      (``waterfill.breakpoints``).
+
+    Equality and hashing are by identity, as for every array-holding type of
+    the package.
     """
 
     values: np.ndarray
     _inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _log_inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _log_prefix: np.ndarray = field(init=False, repr=False, compare=False)
+    _waterfill: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -145,7 +154,7 @@ class Spectrum:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric positive-definite covariance of the Gaussian input.
 
@@ -209,7 +218,7 @@ class BlockCovariance:
         return CovarianceMatrix(full)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (descending) with the matching orthonormal eigenvectors.
 

@@ -18,7 +18,7 @@ from .errors import IndexOutOfRange, NegativeBudget, NonPositiveEigenvalue, Nume
 from .spectrum import Spectrum, _frozen_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Breakpoints:
     """Budgets at which component k = 1..n enters the active set.
 
@@ -44,7 +44,7 @@ class Breakpoints:
         return self.values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaterfillSolution:
     """Solved allocation at one budget.
 
@@ -63,6 +63,8 @@ class WaterfillSolution:
 
 
 def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
+    """Floors s / lambda_i and breakpoints of the leading ``n_tilde`` components,
+    computed afresh; callers read them through ``_waterfill_state``."""
     if not 1 <= n_tilde <= len(spectrum):
         raise IndexOutOfRange(f"component count {n_tilde} outside [1, {len(spectrum)}]")
     if noise_var <= 0.0:
@@ -78,6 +80,24 @@ def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
         return floors, np.concatenate(([0.0], np.cumsum(steps)))
 
 
+def _waterfill_state(spectrum: Spectrum, noise_var: float, n_tilde: int):
+    """Read-only floors and ``Breakpoints`` for ``(noise_var, n_tilde)``.
+
+    The spectrum holds one entry, for the last key asked for; a miss computes
+    the state and replaces the entry, and a call that raises stores nothing.
+    The entry is one tuple swapped in by a single attribute store, so threads
+    asking for different keys each read a consistent entry.
+    """
+    held = spectrum._waterfill
+    if held is not None and held[0] == noise_var and held[1] == n_tilde:
+        return held[2], held[3]
+    floors, rho = _floors_and_breakpoints(spectrum, noise_var, n_tilde)
+    floors.flags.writeable = False
+    bp = Breakpoints(rho)
+    object.__setattr__(spectrum, "_waterfill", (noise_var, n_tilde, floors, bp))
+    return floors, bp
+
+
 def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoints:
     """Full breakpoint sequence for the leading ``n_tilde`` components.
 
@@ -86,8 +106,10 @@ def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoin
     whose increments are non-negative even in floating point, so the
     returned sequence is non-decreasing bit-for-bit and starts at exactly 0.
     The closed form is noise_var * (k / lambda_k - sum_{i<=k} 1 / lambda_i).
+    The result is held on ``spectrum`` until another ``(noise_var, n_tilde)``
+    is asked for, and repeated calls return that same read-only object.
     """
-    return Breakpoints(_floors_and_breakpoints(spectrum, noise_var, n_tilde)[1])
+    return _waterfill_state(spectrum, noise_var, n_tilde)[1]
 
 
 def breakpoint_value(spectrum: Spectrum, noise_var: float, k: int) -> float:
@@ -102,9 +124,11 @@ def regime(budget, bp: Breakpoints):
     exact floating comparison and resolve toward the larger active set (the
     adjacent capacity branches agree at every breakpoint, so the choice
     never changes the value).  An array of budgets gives an array of K.
+    Raises NegativeBudget unless every budget lies in [0, inf).
     """
-    if np.any(np.asarray(budget) < 0.0):
-        raise NegativeBudget(f"budget must be non-negative, got {budget}")
+    budgets = np.asarray(budget)
+    if not np.all((0.0 <= budgets) & (budgets < math.inf)):
+        raise NegativeBudget(f"budget must be non-negative and finite, got {budget}")
     excluded = len(bp) - np.searchsorted(bp.values, budget, side="right")
     return int(excluded) if np.ndim(excluded) == 0 else excluded
 
@@ -118,10 +142,13 @@ def solve_waterfill(budget: float, spectrum: Spectrum, noise_var: float,
     each allocation level - f_i is evaluated as (f_m - f_i) + (budget - rho_m)
     / m: both terms are non-negative, so nothing cancels when the budget is
     tiny against the floor scale, and the budget stays exactly saturated to
-    ~1e-13 relative in O(n) time and memory.
+    ~1e-13 relative in O(n) time and memory.  The floors and breakpoints are
+    read from the state ``breakpoints`` holds on ``spectrum``, so solving at
+    many budgets with one noise variance computes them once.
     """
-    floors, rho = _floors_and_breakpoints(spectrum, noise_var, n_tilde)
-    active = n_tilde - regime(budget, Breakpoints(rho))
+    floors, bp = _waterfill_state(spectrum, noise_var, n_tilde)
+    rho = bp.values
+    active = n_tilde - regime(budget, bp)
     rise = (budget - rho[active - 1]) / active
     alloc = np.zeros(n_tilde)
     alloc[:active] = (floors[active - 1] - floors[:active]) + rise

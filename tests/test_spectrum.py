@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mmicap import (
     BlockCovariance,
+    Breakpoints,
     ConfigError,
     CovarianceMatrix,
     DimensionMismatch,
@@ -19,11 +20,15 @@ from mmicap import (
     NotSymmetric,
     NumericalOverflow,
     Spectrum,
+    WaterfillSolution,
+    WeightMatrix,
     decompose_covariance,
     eigvals_from_covariance,
+    linear_channel,
     load_covariance_csv,
     load_spectrum_json,
     model_spectrum,
+    solve_waterfill,
 )
 
 # Any overflow in a prefix sum fails loudly instead of warning.
@@ -382,3 +387,21 @@ def test_log_inverse_trace_stays_finite_past_the_double_range():
     np.testing.assert_allclose(spectrum.log_inverse_trace(counts), expected,
                                rtol=1e-14, atol=0.0)
     assert spectrum.log_inverse_trace(7075) == math.log(spectrum.inverse_trace(7075))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Spectrum([2.0, 1.0]),
+    lambda: CovarianceMatrix([[2.0, 0.5], [0.5, 1.0]]),
+    lambda: Breakpoints([0.0, 0.5]),
+    lambda: solve_waterfill(2.5, Spectrum([2.0, 1.0]), 1.0, 2),
+    lambda: decompose_covariance(CovarianceMatrix([[2.0, 0.5], [0.5, 1.0]])),
+    lambda: WeightMatrix([[1.0, 2.0], [3.0, 4.0]]),
+    lambda: linear_channel(WeightMatrix([[1.0, 2.0], [3.0, 4.0]]), [0.0, 1.0], 1.0),
+], ids=["Spectrum", "CovarianceMatrix", "Breakpoints", "WaterfillSolution",
+        "SpectralDecomposition", "WeightMatrix", "ChannelModel"])
+def test_array_holding_values_compare_and_hash_by_identity(build):
+    a, twin = build(), build()
+    assert a == a
+    assert (a == twin) is False and a != twin
+    assert hash(a) == hash(a)
+    assert len({a, twin, a}) == 2

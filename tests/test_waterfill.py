@@ -1,5 +1,7 @@
 """Water-filling: breakpoints, regime lookup, and the allocation solver."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -10,19 +12,31 @@ from hypothesis import strategies as st
 
 from mmicap import (
     ArchitectureSpec,
+    BlockCovariance,
+    Convolutional,
+    CovarianceMatrix,
     FullyConnected,
     IndexOutOfRange,
+    MmicapError,
     NegativeBudget,
     NonPositiveEigenvalue,
     NumericalOverflow,
+    Spectrum,
+    build_optimal_weights,
+    decompose_covariance,
     evaluate,
     invert_mmi,
     breakpoint_value,
     breakpoints,
+    mmi_curve,
     model_spectrum,
     regime,
     solve_waterfill,
 )
+from mmicap import waterfill
+
+# Any overflow in the floors or the breakpoints fails loudly instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def grid_search_objective(budget, floors, steps=200):
@@ -129,6 +143,20 @@ class TestRegime:
         bp = breakpoints(model_spectrum("explicit", values=[2.0, 1.0]), 1.0, 2)
         with pytest.raises(NegativeBudget):
             regime(-0.1, bp)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_budget_is_typed(self, budget):
+        spec = model_spectrum("explicit", values=[2.0, 1.0])
+        bp = breakpoints(spec, 1.0, 2)
+        with pytest.raises(MmicapError):
+            regime(budget, bp)
+        with pytest.raises(MmicapError):
+            regime(np.array([0.5, budget]), bp)
+        with pytest.raises(MmicapError):
+            solve_waterfill(budget, spec, 1.0, 2)
+        with pytest.raises(MmicapError):
+            build_optimal_weights(budget, decompose_covariance(
+                CovarianceMatrix(np.diag([2.0, 1.0]))), 1.0, 2)
 
 
 class TestFloorOverflow:
@@ -291,3 +319,163 @@ def test_breakpoints_past_the_double_range_are_held_not_read():
     arch = ArchitectureSpec(FullyConnected(7098, 7098))
     budget = invert_mmi(arch, spectrum, 1.0, 5.0)
     assert evaluate(arch, spectrum, 1.0, budget).nats == pytest.approx(5.0, abs=1e-12)
+
+
+def count_computes(monkeypatch):
+    """Count the fresh computations of the water-filling state."""
+    calls = []
+    compute = waterfill._floors_and_breakpoints
+
+    def spy(*args):
+        calls.append(args[1:])
+        return compute(*args)
+
+    monkeypatch.setattr(waterfill, "_floors_and_breakpoints", spy)
+    return calls
+
+
+def twin(spectrum):
+    """A new spectrum with the same values and nothing held."""
+    return Spectrum(spectrum.values)
+
+
+class TestHeldState:
+    def test_alternating_keys_match_a_fresh_compute_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        spec = random_spectrum(rng, 40)
+        arch = ArchitectureSpec(FullyConnected(40, 40))
+        budgets = np.array([0.0, 1e-4, 0.3, 7.0, 2e3])
+        for _ in range(2):
+            for noise_var in (1e-3, 1.0, 1e3):
+                for n_tilde in (40, 17):
+                    fresh = twin(spec)
+                    np.testing.assert_array_equal(
+                        breakpoints(spec, noise_var, n_tilde).values,
+                        breakpoints(fresh, noise_var, n_tilde).values)
+                    for budget in budgets:
+                        held = solve_waterfill(budget, spec, noise_var, n_tilde)
+                        ref = solve_waterfill(budget, twin(spec), noise_var, n_tilde)
+                        assert held.water_level == ref.water_level
+                        assert held.active_count == ref.active_count
+                        assert held.budget_used == ref.budget_used
+                        np.testing.assert_array_equal(held.allocations, ref.allocations)
+                # the dense evaluation and inversion read n_tilde = 40
+                np.testing.assert_array_equal(
+                    evaluate(arch, spec, noise_var, budgets).nats,
+                    evaluate(arch, twin(spec), noise_var, budgets).nats)
+                assert invert_mmi(arch, spec, noise_var, 3.0) \
+                    == invert_mmi(arch, twin(spec), noise_var, 3.0)
+
+    def test_one_slot_is_held_and_replaced_on_a_miss(self, monkeypatch):
+        calls = count_computes(monkeypatch)
+        spec = model_spectrum("harmonic", 30)
+        assert spec._waterfill is None
+        first = breakpoints(spec, 1.0, 30)
+        assert breakpoints(spec, 1.0, 30) is first
+        assert len(calls) == 1
+        other = breakpoints(spec, 2.0, 30)
+        noise_var, n_tilde, floors, bp = spec._waterfill
+        assert (noise_var, n_tilde, bp) == (2.0, 30, other)
+        np.testing.assert_array_equal(floors, 2.0 / spec.values)
+        breakpoints(spec, 2.0, 12)
+        assert spec._waterfill[:2] == (2.0, 12)
+        # the first key was dropped, so asking for it again computes it again
+        again = breakpoints(spec, 1.0, 30)
+        assert again is not first
+        np.testing.assert_array_equal(again.values, first.values)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda s: breakpoints(s, 1.0, 0), IndexOutOfRange),
+        (lambda s: breakpoints(s, 1.0, 4), IndexOutOfRange),
+        (lambda s: solve_waterfill(1.0, s, 1e306, 3), NonPositiveEigenvalue),
+        (lambda s: breakpoints(s, 0.0, 3), ValueError),
+        (lambda s: breakpoints(s, -1.0, 3), ValueError),
+        (lambda s: breakpoints(s, np.nan, 3), NonPositiveEigenvalue),
+        (lambda s: solve_waterfill(np.nan, s, 1.0, 3), NegativeBudget),
+    ], ids=["no-components", "past-the-last", "floor-overflow", "zero-noise",
+            "negative-noise", "nan-noise", "nan-budget"])
+    def test_a_failing_call_leaves_the_slot_as_it_was(self, call, error):
+        spec = model_spectrum("explicit", values=[4.0, 2.0, 1e-3])
+        held = breakpoints(spec, 1.0, 3)
+        entry = spec._waterfill
+        with pytest.raises(error):
+            call(spec)
+        assert spec._waterfill is entry
+        assert breakpoints(spec, 1.0, 3) is held
+
+    def test_a_failing_first_call_holds_nothing(self):
+        spec = model_spectrum("explicit", values=[4.0, 2.0, 1e-3])
+        with pytest.raises(IndexOutOfRange):
+            breakpoints(spec, 1.0, 4)
+        assert spec._waterfill is None
+
+    def test_held_arrays_are_read_only(self):
+        spec = model_spectrum("harmonic", 8)
+        solve_waterfill(1.0, spec, 0.5, 8)
+        _, _, floors, bp = spec._waterfill
+        for held in (floors, bp.values):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[0] = 1.0
+
+    def test_two_threads_alternating_keys_read_consistent_entries(self):
+        spec = model_spectrum("harmonic", 200)
+        keys = [(0.5, 200), (3.0, 150)]
+        expected = {key: (breakpoints(twin(spec), *key).values,
+                          solve_waterfill(40.0, twin(spec), *key).allocations)
+                    for key in keys}
+        failures = []
+
+        def work(key):
+            try:
+                for _ in range(300):
+                    bp = breakpoints(spec, *key).values
+                    alloc = solve_waterfill(40.0, spec, *key).allocations
+                    if not (np.array_equal(bp, expected[key][0])
+                            and np.array_equal(alloc, expected[key][1])):
+                        failures.append(key)
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(key,)) for key in keys * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+class TestStateIsComputedOnce:
+    def test_curve_then_inversion_on_one_spectrum(self, monkeypatch):
+        spec = model_spectrum("harmonic", 2000)
+        arch = ArchitectureSpec(FullyConnected(2000, 2000))
+        calls = count_computes(monkeypatch)
+        mmi_curve(arch, spec, 0.1, np.linspace(0.0, 500.0, 400))
+        invert_mmi(arch, spec, 0.1, 50.0)
+        assert calls == [(0.1, 2000)]
+
+    def test_conv_curve_then_inversion(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((16, 16))
+        source = BlockCovariance(CovarianceMatrix(b @ b.T + 0.1 * np.eye(16)), 4)
+        arch = ArchitectureSpec(Convolutional(64, 16, 8))
+        calls = count_computes(monkeypatch)
+        mmi_curve(arch, source, 0.5, np.linspace(0.0, 50.0, 400))
+        invert_mmi(arch, source, 0.5, 20.0)
+        assert calls == [(0.5, 8)]
+
+    def test_weights_at_many_budgets(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((32, 32))
+        dec = decompose_covariance(CovarianceMatrix(b @ b.T + 0.1 * np.eye(32)))
+        calls = count_computes(monkeypatch)
+        for budget in np.geomspace(1e-2, 1e2, 24):
+            build_optimal_weights(float(budget), dec, 0.3, 12)
+        assert calls == [(0.3, 12)]
