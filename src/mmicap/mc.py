@@ -7,25 +7,30 @@ no bandwidth selection is involved.  Outer evaluation points and inner
 mixture centres come from independent substreams of one seed, which keeps
 the plug-in bias one-sided and the estimates reproducible bit-for-bit.
 
-Worker parallelism for the density evaluation is capped by the MMI_THREADS
-environment variable (0 or unset picks up to 4, no more than the CPUs the
-process may run on); chunk boundaries are fixed, so results do not depend on
-the thread count.
+The density evaluation splits its points into chunks of fixed boundaries.
+Each call hands one task per worker to a process-wide pool; the workers pull
+chunk indices from one shared counter until none is left, and compute each
+chunk in one chunk-sized buffer of their own.  The worker count is capped by
+the MMI_THREADS environment variable (0 or unset picks up to 4, no more than
+the CPUs the process may run on).  Each chunk writes its own slice of the
+result, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow
-from .spectrum import CovarianceMatrix
+from .spectrum import CovarianceMatrix, _check_positive
 
 if TYPE_CHECKING:
     from .oracle import WeightMatrix
@@ -77,8 +82,7 @@ class ChannelModel:
             raise ConfigError(
                 f"bias must have length {self.weights.hidden_dim}, got shape {bias.shape}"
             )
-        if self.noise_var <= 0.0:
-            raise ValueError("noise_var must be positive")
+        _check_positive(self.noise_var, "noise_var", numbers.Real, "finite number")
         if self.activation not in ("linear", "relu", "bijective"):
             raise ConfigError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "bias", bias)
@@ -119,8 +123,13 @@ class MCConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_outer < 100 or self.n_inner < 100:
-            raise ConfigError("n_outer and n_inner must be at least 100")
+        for name, least in (("n_outer", 100), ("n_inner", 100), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, "
+                                  f"got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,12 @@ def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
     rounding (a few ulps of |p|^2/(2 s)), so the sum of exponentials cannot
     overflow and needs no max-stabilization; a zero sum means every
     component underflowed, which raises NumericalUnderflow.
-    Chunk boundaries are fixed and each chunk writes its own slice of a
-    preallocated array, so the result is identical regardless of how many
-    worker threads run.
+    Chunk boundaries are fixed.  At most one task per worker goes to the
+    pool: each claims chunk indices from one shared counter until they run
+    out, computes every chunk it claims in its own reused buffer, and writes
+    that chunk's own slice of a preallocated array, so the result is
+    identical regardless of how many worker threads run.  The call waits for
+    every worker before it returns or raises.
     """
     n_points, dim = points.shape
     n_centres = centres.shape[0]
@@ -201,20 +213,29 @@ def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
     rhs[dim + 1] = -0.5 * np.einsum("ij,ij->i", centres, centres) / noise_var
     sums = np.empty(n_points)
     rows = max(1, _CHUNK_ELEMENTS // n_centres)
-    starts = range(0, n_points, rows)
+    chunks = -(-n_points // rows)
+    next_chunk = itertools.count().__next__  # atomic under the GIL
 
-    def fill(start: int) -> None:
-        stop = min(start + rows, n_points)
-        expo = lhs[start:stop] @ rhs
-        np.exp(expo, out=expo)
-        sums[start:stop] = expo.sum(axis=1)
+    def work() -> None:
+        buf = np.empty((min(rows, n_points), n_centres))
+        while (chunk := next_chunk()) < chunks:
+            start = chunk * rows
+            stop = min(start + rows, n_points)
+            expo = np.matmul(lhs[start:stop], rhs, out=buf[:stop - start])
+            np.exp(expo, out=expo)
+            sums[start:stop] = expo.sum(axis=1)
 
     threads = _thread_count()
-    if threads > 1 and len(starts) > 1:
-        list(_pool(threads).map(fill, starts))
+    if threads > 1 and chunks > 1:
+        pool = _pool(threads)
+        tasks = [pool.submit(work) for _ in range(min(threads, chunks))]
+        # every worker stops before any error is raised, so none is still
+        # writing into sums once the call returns
+        wait(tasks)
+        for task in tasks:
+            task.result()
     else:
-        for start in starts:
-            fill(start)
+        work()
     with np.errstate(divide="ignore"):
         log_sums = np.log(sums)
     if not np.all(np.isfinite(log_sums)):
@@ -234,10 +255,10 @@ def _draw(model: ChannelModel, cov: CovarianceMatrix, mc: MCConfig):
     return x_inner, x_outer, noise
 
 
-def _entropy_contributions(model: ChannelModel, cov: CovarianceMatrix,
-                           mc: MCConfig) -> np.ndarray:
-    """Per-outer-sample plug-in entropy contributions, in nats."""
-    x_inner, x_outer, noise = _draw(model, cov, mc)
+def _entropy_contributions(model: ChannelModel, x_inner: np.ndarray,
+                           x_outer: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-outer-sample plug-in entropy contributions, in nats, from the
+    draws of ``_draw``."""
     points = model.mean(x_outer) + noise
     contributions = -_mixture_log_density(points, model.mean(x_inner), model.noise_var)
     if model.activation == "bijective":
@@ -259,7 +280,7 @@ def estimate_entropy(model: ChannelModel, cov: CovarianceMatrix,
     The standard error is the spread of the per-outer-sample contributions;
     inner-sample noise shows up as a small one-sided bias instead.
     """
-    value, se = _mean_se(_entropy_contributions(model, cov, mc))
+    value, se = _mean_se(_entropy_contributions(model, *_draw(model, cov, mc)))
     return MCEstimate(value, se, mc)
 
 
@@ -277,7 +298,7 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
     expectation as H(Z); it is estimated from an independent substream so
     comparisons against the linear channel stay statistically meaningful.
     """
-    contributions = _entropy_contributions(model, cov, mc)
+    contributions = _entropy_contributions(model, *_draw(model, cov, mc))
     value, se = _mean_se(contributions)
     cond = conditional_entropy(model)
     if model.activation == "bijective":
@@ -295,11 +316,13 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
 def verify_entropy_ordering(model: ChannelModel, cov: CovarianceMatrix,
                             mc: MCConfig) -> dict:
     """Checks that the relu channel's output entropy never exceeds its
-    linear twin's, using common random numbers for variance reduction."""
+    linear twin's, using common random numbers for variance reduction: one
+    draw of the seed feeds both channels."""
     if model.activation != "relu":
         raise ConfigError("verify_entropy_ordering takes a relu channel")
-    h_relu = _entropy_contributions(model, cov, mc)
-    h_linear = _entropy_contributions(replace(model, activation="linear"), cov, mc)
+    draws = _draw(model, cov, mc)
+    h_relu = _entropy_contributions(model, *draws)
+    h_linear = _entropy_contributions(replace(model, activation="linear"), *draws)
     lin_value, lin_se = _mean_se(h_linear)
     relu_value, relu_se = _mean_se(h_relu)
     diff_value, diff_se = _mean_se(h_relu - h_linear)

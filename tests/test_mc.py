@@ -5,7 +5,9 @@ import inspect
 import math
 import multiprocessing
 import os
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,6 +38,8 @@ from mmicap import (
     verify_entropy_ordering,
     verify_relu_theorem,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def normal_cdf(x):
@@ -102,6 +106,36 @@ class TestEstimateEntropy:
             MCConfig(50, 4000, seed=0)
         with pytest.raises(ConfigError):
             MCConfig(4000, 99, seed=0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "1"])
+    def test_noise_var_must_be_positive_and_finite(self, noise_var):
+        with pytest.raises(ConfigError, match="noise_var"):
+            linear_channel(WeightMatrix(np.eye(2)), np.zeros(2), noise_var)
+
+    @pytest.mark.parametrize("noise_var", [np.float64(0.5), 2, np.int64(3)])
+    def test_noise_var_accepts_real_numbers(self, noise_var):
+        assert relu_channel(WeightMatrix(np.eye(2)), np.zeros(2), noise_var).noise_var == noise_var
+
+    @pytest.mark.parametrize("n_outer, n_inner, seed, name", [
+        (100.5, 200, 0, "n_outer"),
+        (200, 150.0, 0, "n_inner"),
+        (True, 200, 0, "n_outer"),
+        ("200", 200, 0, "n_outer"),
+        (200, 200, -1, "seed"),
+        (200, 200, 1.5, "seed"),
+        (200, 200, False, "seed"),
+        (200, 200, None, "seed"),
+    ])
+    def test_config_must_hold_integers(self, n_outer, n_inner, seed, name):
+        with pytest.raises(ConfigError, match=name):
+            MCConfig(n_outer, n_inner, seed)
+
+    def test_config_accepts_numpy_integers(self):
+        mc = MCConfig(np.int64(100), np.int32(300), np.uint64(2**63))
+        assert (mc.n_outer, mc.n_inner, mc.seed) == (100, 300, 2**63)
+        assert all(type(v) is int for v in (mc.n_outer, mc.n_inner, mc.seed))
 
 
 class TestEstimateMi:
@@ -297,6 +331,16 @@ class TestEntropyOrdering:
         assert report["pass"]
 
 
+    def test_both_channels_share_one_draw(self, monkeypatch):
+        calls = []
+        sample = mmicap.mc.sample_gaussian_inputs
+        monkeypatch.setattr(mmicap.mc, "sample_gaussian_inputs",
+                            lambda *args: calls.append(args) or sample(*args))
+        model = relu_channel(WeightMatrix(np.eye(2)), np.zeros(2), 1.0)
+        verify_entropy_ordering(model, CovarianceMatrix(np.eye(2)), MCConfig(200, 200, seed=3))
+        assert len(calls) == 2
+
+
 class TestReluTheoremReport:
     def test_report_schema_and_pass(self):
         cov = CovarianceMatrix(np.diag([2.0, 1.0]))
@@ -473,6 +517,106 @@ class TestKernelWorkers:
             child.kill()
             child.join()
         assert child.exitcode == 0
+
+
+class TestKernelScheduling:
+    def test_at_most_one_task_per_worker(self, monkeypatch):
+        submitted = []
+        make_pool = mmicap.mc._pool
+
+        class Spy:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return self.pool.submit(fn, *args)
+
+        monkeypatch.setattr(mmicap.mc, "_pool", lambda threads: Spy(make_pool(threads)))
+        rows = mmicap.mc._CHUNK_ELEMENTS // 2000
+        for n_points, threads, tasks in ((40 * rows + 1, "2", 2), (40 * rows + 1, "3", 3),
+                                         (rows + 1, "3", 2), (rows, "3", 0)):
+            points, centres = kernel_inputs(56, n_points, 2000, 2, 1.0)
+            monkeypatch.setenv("MMI_THREADS", threads)
+            submitted.clear()
+            mmicap.mc._mixture_log_density(points, centres, 1.0)
+            assert len(submitted) == tasks
+
+    @pytest.mark.parametrize("n_points, n_centres", [
+        (mmicap.mc._CHUNK_ELEMENTS // 900 + 1, 900),   # two chunks
+        (1, 900),                                       # one chunk
+        (7, mmicap.mc._CHUNK_ELEMENTS + 3),             # seven one-row chunks
+        (2, mmicap.mc._CHUNK_ELEMENTS + 3),             # two one-row chunks
+    ])
+    def test_bit_identical_with_few_or_one_row_chunks(self, monkeypatch, n_points, n_centres):
+        points, centres = kernel_inputs(57, n_points, n_centres, 2, 0.8)
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMI_THREADS", threads)
+            results.append(mmicap.mc._mixture_log_density(points, centres, 0.8).tobytes())
+        assert results[0] == results[1] == results[2]
+
+    def test_every_chunk_claimed_once_under_fast_switching(self, monkeypatch):
+        # more workers than cores and a 1 us switch interval: a chunk claimed
+        # twice shows in the product count, one never claimed in the bytes
+        rows = mmicap.mc._CHUNK_ELEMENTS // 1000
+        points, centres = kernel_inputs(60, 200 * rows + 7, 1000, 2, 1.0)
+        monkeypatch.setenv("MMI_THREADS", "1")
+        want = mmicap.mc._mixture_log_density(points, centres, 1.0).tobytes()
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda *args, **kwargs: products.append(1) or matmul(*args, **kwargs))
+        monkeypatch.setenv("MMI_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mmicap.mc._mixture_log_density(points, centres, 1.0).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(products) == 201
+        assert got == want
+
+    def test_memory_is_one_buffer_per_worker(self, monkeypatch):
+        monkeypatch.setenv("MMI_THREADS", "2")
+        points, centres = kernel_inputs(58, 20_000, 20_000, 2, 1.0)
+        tracemalloc.start()
+        try:
+            mmicap.mc._mixture_log_density(points, centres, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
+
+    def test_failing_chunk_waits_for_every_worker(self, monkeypatch):
+        monkeypatch.setenv("MMI_THREADS", "3")
+        matmul = np.matmul
+        lock = threading.Lock()
+        state = {"calls": 0, "running": 0}
+
+        def flaky(*args, **kwargs):
+            with lock:
+                state["calls"] += 1
+                first = state["calls"] == 1
+                state["running"] += 1
+            try:
+                if first:
+                    raise RuntimeError("chunk failed")
+                time.sleep(0.005)
+                return matmul(*args, **kwargs)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        rows = mmicap.mc._CHUNK_ELEMENTS // 2000
+        points, centres = kernel_inputs(59, 12 * rows, 2000, 2, 1.0)
+        monkeypatch.setattr(np, "matmul", flaky)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            mmicap.mc._mixture_log_density(points, centres, 1.0)
+        assert state["running"] == 0
+        calls = state["calls"]
+        time.sleep(0.05)
+        assert state["calls"] == calls == 12
 
 
 class TestThreadCount:
