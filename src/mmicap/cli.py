@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from .errors import ConfigError, MmicapError
+from .errors import ConfigError, MmicapError, positive
 from .mmi import (ArchitectureSpec, Convolutional, FullyConnected, MultiLayer, evaluate,
                   mmi_curve)
 from .spectrum import (SPECTRUM_KINDS, BlockCovariance, CovarianceMatrix,
@@ -249,9 +250,7 @@ class RunConfig:
 
     def __init__(self, args: argparse.Namespace):
         self.doc = _run_doc(args)
-        self.sigma2 = _check(self.doc["sigma2"], "sigma2", float)
-        if self.sigma2 <= 0:
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
+        self.sigma2 = positive(self.doc["sigma2"], "sigma2")
         self.out = _check(self.doc["out"], "out", OUTS)
         self.arch = _build_arch(self.doc.get("architecture"))
         self.source = _build_source(self.doc.get("spectrum"), self.arch)
@@ -305,7 +304,9 @@ def cmd_curve(args) -> int:
 
 def _write_gnuplot(script_path: str, rows: list[dict], units: str) -> None:
     """Companion plain-text plotting script plus the CSV it references."""
-    data_path = script_path.rsplit(".", 1)[0] + ".csv"
+    data_path = os.path.splitext(script_path)[0] + ".csv"
+    if data_path == script_path:
+        raise ConfigError(f"--gnuplot {script_path}: the script would overwrite its data")
     with open(data_path, "w") as fh:
         _emit(rows, {}, "csv", fh)
     with open(script_path, "w") as fh:
@@ -324,8 +325,7 @@ def cmd_breakpoints(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _check(_run_doc(args)["seed"], "seed", int)
-    report = run_verification(seed=seed, mmi_offset=args.corrupt_closed_form)
+    report = run_verification(seed=_run_doc(args)["seed"], mmi_offset=args.corrupt_closed_form)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status} {check['name']}", file=sys.stderr)

@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types, and the one input policy: every public entry point checks
+its numbers through ``positive`` and ``budgets`` (the README lists the rule for
+each input).  ``ConfigError`` is also a ``ValueError``."""
+
+import numbers
+import operator
+
+import numpy as np
 
 
 class MmicapError(Exception):
@@ -49,5 +56,37 @@ class DeltaOutOfRange(MmicapError):
     """Total-variation argument outside [0, 1/e)."""
 
 
-class ConfigError(MmicapError):
-    """Malformed run configuration, flag value, or input file."""
+class ConfigError(MmicapError, ValueError):
+    """Malformed input value, run configuration, flag value, or input file."""
+
+
+def positive(value, name: str, *, integer: bool = False, least: int = 1,
+             error: type[MmicapError] = ConfigError):
+    """``value`` as a float in (0, inf), or with ``integer`` as an int of at
+    least ``least``; anything else, bools included, raises ``error``."""
+    try:
+        if integer:  # index, not int(): a float is not a count
+            number = operator.index(value)
+        else:  # the type test skips the slower ABC check in the common case
+            real = type(value) is float or isinstance(value, numbers.Real)
+            number = float(value) if real else np.nan
+        ok = number >= least if integer else 0.0 < number < np.inf
+    except (TypeError, OverflowError):  # not an integer; an int beyond the doubles
+        ok = False
+    if not ok or isinstance(value, bool):
+        wanted = f"an integer of at least {least}" if integer else "a positive finite number"
+        raise error(f"{name} must be {wanted}, got {value!r}")
+    return number
+
+
+def budgets(value):
+    """``value``, one budget or an array of them, as a float or a float64
+    array; raises ``NegativeBudget`` unless each is a number in [0, inf)."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and np.all((0.0 <= arr) & (arr < np.inf))
+    except ValueError:  # a ragged sequence
+        ok = False
+    if not ok:
+        raise NegativeBudget(f"budget must be non-negative and finite, got {value!r}")
+    return float(arr) if arr.ndim == 0 else arr.astype(np.float64, copy=False)

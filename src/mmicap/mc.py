@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -29,8 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow
-from .spectrum import CovarianceMatrix, _check_positive
+from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow, positive
+from .spectrum import CovarianceMatrix
 
 if TYPE_CHECKING:
     from .oracle import WeightMatrix
@@ -80,9 +79,8 @@ class ChannelModel:
         bias = np.asarray(self.bias, dtype=np.float64)
         if bias.ndim != 1 or bias.size != self.weights.hidden_dim:
             raise ConfigError(
-                f"bias must have length {self.weights.hidden_dim}, got shape {bias.shape}"
-            )
-        _check_positive(self.noise_var, "noise_var", numbers.Real, "finite number")
+                f"bias must have length {self.weights.hidden_dim}, got shape {bias.shape}")
+        object.__setattr__(self, "noise_var", positive(self.noise_var, "noise_var"))
         if self.activation not in ("linear", "relu", "bijective"):
             raise ConfigError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "bias", bias)
@@ -124,12 +122,8 @@ class MCConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("n_outer", 100), ("n_inner", 100), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < least:
-                raise ConfigError(f"{name} must be an integer of at least {least}, "
-                                  f"got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, positive(getattr(self, name), name,
+                                                    integer=True, least=least))
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ def sample_gaussian_inputs(cov: CovarianceMatrix, n: int, seed) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"covariance has no Cholesky factor: {exc}") from exc
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((int(n), cov.dim)) @ chol.T
+    return rng.standard_normal((positive(n, "n", integer=True), cov.dim)) @ chol.T
 
 
 def _thread_count() -> int:
@@ -157,9 +151,7 @@ def _thread_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"MMI_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ConfigError(f"MMI_THREADS must be non-negative, got {n}")
-    if n == 0:
+    if positive(n, "MMI_THREADS", integer=True, least=0) == 0:
         # the CPUs this process may run on, which can be fewer than the host's
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeBudget, TargetUnreachable
+from .errors import ConfigError, DimensionMismatch, TargetUnreachable, budgets, positive
 from .spectrum import BlockCovariance, Spectrum, decompose_covariance
 from .waterfill import Breakpoints, breakpoints, regime
 
@@ -34,7 +34,8 @@ class FullyConnected:
     hidden_dim: int
 
     def __post_init__(self) -> None:
-        _check_dims(input_dim=self.input_dim, hidden_dim=self.hidden_dim)
+        for name in ("input_dim", "hidden_dim"):
+            positive(getattr(self, name), name, integer=True, error=DimensionMismatch)
 
     @property
     def bottleneck(self) -> int:
@@ -51,12 +52,11 @@ class Convolutional:
     num_filters: int
 
     def __post_init__(self) -> None:
-        _check_dims(input_dim=self.input_dim, block_size=self.block_size,
-                    num_filters=self.num_filters)
+        for name in ("input_dim", "block_size", "num_filters"):
+            positive(getattr(self, name), name, integer=True, error=DimensionMismatch)
         if self.input_dim % self.block_size != 0:
             raise DimensionMismatch(
-                f"block_size {self.block_size} must divide input_dim {self.input_dim}"
-            )
+                f"block_size {self.block_size} must divide input_dim {self.input_dim}")
 
     @property
     def repetitions(self) -> int:
@@ -74,10 +74,10 @@ class MultiLayer:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        widths = tuple(int(w) for w in self.widths)
+        widths = tuple(positive(w, f"width_{i + 1}", integer=True, error=DimensionMismatch)
+                       for i, w in enumerate(self.widths))
         if not widths:
             raise DimensionMismatch("widths must be non-empty")
-        _check_dims(**{f"width_{i + 1}": w for i, w in enumerate(widths)})
         object.__setattr__(self, "widths", widths)
 
     def bottleneck(self, input_dim: int) -> int:
@@ -100,11 +100,8 @@ class ChannelParams:
     budget: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
-        budget = np.asarray(self.budget)
-        if not np.all((0.0 <= budget) & (budget < math.inf)):
-            raise NegativeBudget(f"budget must be non-negative and finite, got {self.budget}")
+        object.__setattr__(self, "noise_var", positive(self.noise_var, "noise_var"))
+        budgets(self.budget)
 
 
 @dataclass(frozen=True)
@@ -122,12 +119,6 @@ class MmiResult:
     regime: int
     breakpoints: Breakpoints
     active_components: int
-
-
-def _check_dims(**dims: int) -> None:
-    for name, value in dims.items():
-        if int(value) != value or value < 1:
-            raise DimensionMismatch(f"{name} must be a positive integer, got {value}")
 
 
 def mmi_formula(spectrum: Spectrum, noise_var: float, budget, active_count):
@@ -176,15 +167,14 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     block: the budget is shared by the single filter, not divided across
     blocks.  The breakpoints are computed once for all budgets.
     """
-    ChannelParams(noise_var, budget)
     spectrum, n_tilde, repetitions = _reduce(arch, source)
     bp = breakpoints(spectrum, noise_var, n_tilde)
-    budgets = np.asarray(budget, dtype=np.float64)
-    excluded = regime(budgets, bp)
+    budget = budgets(budget)
+    excluded = regime(budget, bp)
     active = n_tilde - excluded
-    nats = np.where(budgets == 0.0, 0.0,
-                    repetitions * mmi_formula(spectrum, noise_var, budgets, active))
-    nats = float(nats) if budgets.ndim == 0 else nats
+    nats = np.where(budget == 0.0, 0.0,
+                    repetitions * mmi_formula(spectrum, noise_var, budget, active))
+    nats = float(nats) if np.ndim(budget) == 0 else nats
     return MmiResult(nats, excluded, bp, active)
 
 
@@ -227,11 +217,11 @@ def mmi_approx_large_n(spectrum: Spectrum, n_tilde: int) -> float:
 def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
               budget_grid) -> list[tuple[float, MmiResult]]:
     """Pointwise capacity along an ascending budget grid."""
-    grid = np.asarray(budget_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
+    grid = budgets(budget_grid)
+    if np.ndim(grid) != 1 or grid.size == 0:
         raise DimensionMismatch("budget grid must be a non-empty 1-D sequence")
     if np.any(np.diff(grid) < 0.0):
-        raise ValueError("budget grid must be ascending")
+        raise ConfigError("budget grid must be ascending")
     out = evaluate(arch, source, noise_var, grid)
     bp = out.breakpoints
     return [(f, MmiResult(v, k, bp, m)) for f, v, k, m in zip(
@@ -253,8 +243,7 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     that do not exceed the target, found by binary search; C(rho_m) is the
     second evaluation.
     """
-    if not target_nats > 0.0:
-        raise ValueError(f"target_nats must be positive, got {target_nats}")
+    target_nats = positive(target_nats, "target_nats")
     spectrum, n_tilde, repetitions = _reduce(arch, source)
     dense = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
     target = target_nats / repetitions

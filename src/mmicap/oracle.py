@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleFactorization, MmicapError
+from .errors import (ConfigError, DimensionMismatch, InfeasibleFactorization, MmicapError,
+                     budgets, positive)
 from .spectrum import (
     BlockCovariance,
     CovarianceMatrix,
@@ -43,14 +44,13 @@ class WeightMatrix:
         if a.ndim != 2 or a.size == 0:
             raise DimensionMismatch(f"weights must be a 2-D matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("weights contain non-finite entries")
+            raise ConfigError("weights contain non-finite entries")
         fro = float(np.sum(a * a))
         if self.frobenius_sq is not None:
             gap = abs(self.frobenius_sq - fro)
-            if gap > 1e-12 * max(fro, 1e-300):
-                raise ValueError(
-                    f"declared squared norm {self.frobenius_sq} is off by {gap}"
-                )
+            if not gap <= 1e-12 * max(fro, 1e-300):
+                raise ConfigError(
+                    f"declared squared norm {self.frobenius_sq} is off by {gap}")
             fro = float(self.frobenius_sq)
         object.__setattr__(self, "entries", _frozen_array(a))
         object.__setattr__(self, "frobenius_sq", fro)
@@ -78,10 +78,10 @@ class OptimizerConfig:
     restarts: int = 5
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.step_size <= 0 or self.tolerance <= 0:
-            raise ValueError("max_iters, step_size and tolerance must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        for name, least in (("max_iters", 1), ("seed", 0), ("restarts", 1)):
+            positive(getattr(self, name), name, integer=True, least=least)
+        for name in ("step_size", "tolerance"):
+            positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,10 @@ def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
 
     (1/2) log det(Id + W Cov W^T / noise_var); independent of any bias.
     """
-    if noise_var <= 0.0:
-        raise ValueError("noise_var must be positive")
+    noise_var = positive(noise_var, "noise_var")
     if weights.input_dim != cov.dim:
         raise DimensionMismatch(
-            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim"
-        )
+            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")
     _, nats = _mi_value(weights.entries, cov.entries, noise_var)
     return nats
 
@@ -152,13 +150,12 @@ def build_optimal_weights(budget: float, decomposition: SpectralDecomposition,
     """
     spectrum = decomposition.spectrum
     input_dim = len(spectrum)
+    hidden_dim = positive(hidden_dim, "hidden_dim", integer=True, error=DimensionMismatch)
     n_tilde = min(input_dim, hidden_dim)
     solution = solve_waterfill(budget, spectrum, noise_var, n_tilde)
     w = np.zeros((hidden_dim, input_dim))
-    w[:n_tilde, :] = (
-        np.sqrt(solution.allocations)[:, None]
-        * decomposition.eigenvectors[:, :n_tilde].T
-    )
+    w[:n_tilde, :] = (np.sqrt(solution.allocations)[:, None]
+                      * decomposition.eigenvectors[:, :n_tilde].T)
     return WeightMatrix(w)
 
 
@@ -284,8 +281,9 @@ def _multistart(hidden_dim: int, budget: float, cov: np.ndarray, noise_var: floa
                 config: OptimizerConfig) -> OptimizeResult:
     """Best of ``config.restarts`` ascents from random points on the budget
     sphere; the zero matrix when the budget is zero."""
-    if budget < 0.0:
-        raise ValueError("budget must be non-negative")
+    budget, noise_var = budgets(budget), positive(noise_var, "noise_var")
+    if np.ndim(budget):
+        raise DimensionMismatch("the ascent takes one budget, not an array")
     shape = (hidden_dim, cov.shape[0])
     runs = []
     for restart in range(config.restarts if budget > 0.0 else 0):
@@ -305,6 +303,7 @@ def maximize_mi(budget: float, cov: CovarianceMatrix, noise_var: float,
     budget sphere (restart r seeds from (config.seed, r), so results are
     reproducible and schedule-independent) and keeps the best.
     """
+    hidden_dim = positive(hidden_dim, "hidden_dim", integer=True, error=DimensionMismatch)
     return _multistart(hidden_dim, budget, cov.entries, noise_var, config)
 
 
@@ -324,8 +323,7 @@ def maximize_mi_conv(budget: float, block: BlockCovariance, num_filters: int,
     constrains the filter itself.  Returned weights are the
     num_filters x block_size filter; ``nats`` is the full-channel MI.
     """
-    if num_filters < 1:
-        raise DimensionMismatch("num_filters must be a positive integer")
+    num_filters = positive(num_filters, "num_filters", integer=True, error=DimensionMismatch)
     best = _multistart(num_filters, budget, block.block.entries, noise_var, config)
     tiled = WeightMatrix(tile_filter(best.weights.entries, block.repetitions))
     return replace(best, nats=exact_linear_mi(tiled, block.expand(), noise_var))
@@ -340,20 +338,17 @@ def factor_check_multilayer(weights: WeightMatrix, widths, cov: CovarianceMatrix
     and scores the product, which reconstructs the original matrix whenever
     every width can carry its rank.
     """
-    widths = [int(w) for w in widths]
-    if not widths or any(w < 1 for w in widths):
-        raise DimensionMismatch("widths must be positive integers")
+    widths = [positive(w, "widths", integer=True, error=DimensionMismatch) for w in widths]
+    if not widths:
+        raise DimensionMismatch("widths must be non-empty")
     w = weights.entries
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * RANK_RTOL)) if s.size else 0
     if min(widths) < rank:
-        raise InfeasibleFactorization(
-            f"narrowest width {min(widths)} cannot carry rank {rank}"
-        )
+        raise InfeasibleFactorization(f"narrowest width {min(widths)} cannot carry rank {rank}")
     if widths[-1] != weights.hidden_dim:
         raise DimensionMismatch(
-            f"last width {widths[-1]} must equal the output dim {weights.hidden_dim}"
-        )
+            f"last width {widths[-1]} must equal the output dim {weights.hidden_dim}")
     if len(widths) == 1:
         product = w
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     NumericalOverflow,
+    positive,
 )
 
 # Reject covariances whose smallest eigenvalue falls below this fraction of
@@ -84,7 +84,7 @@ class Spectrum:
                 f"eigenvalue {i + 1} of {vals.size} is {vals[i]:.6g}; eigenvalues must be "
                 "finite and strictly positive, with finite reciprocals")
         if np.any(np.diff(vals) > 0.0):
-            raise ValueError("eigenvalues must be sorted in descending order")
+            raise ConfigError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "values", _frozen_array(vals))
         # A running sum adds up to n * eps of rounding; accumulating in extended
         # precision (where the platform has it) keeps each prefix correctly rounded.
@@ -170,7 +170,7 @@ class CovarianceMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionMismatch(f"covariance must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("covariance contains non-finite entries")
+            raise ConfigError("covariance contains non-finite entries")
         scale = float(np.max(np.abs(a)))
         if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
             raise NotSymmetric("covariance is not symmetric within tolerance")
@@ -204,9 +204,7 @@ class BlockCovariance:
     repetitions: int
 
     def __post_init__(self) -> None:
-        if int(self.repetitions) != self.repetitions or self.repetitions < 1:
-            raise DimensionMismatch("repetitions must be a positive integer")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
+        positive(self.repetitions, "repetitions", integer=True, error=DimensionMismatch)
 
     @property
     def input_dim(self) -> int:
@@ -260,9 +258,9 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
     if kind not in SPECTRUM_KINDS:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
     if n is not None or kind != "explicit":
-        _check_positive(n, "spectrum length n", numbers.Integral, "integer")
+        n = positive(n, "spectrum length n", integer=True)
     if kind == "exp_decay":
-        _check_positive(rate, "exp_decay spectrum rate", numbers.Real, "finite number")
+        rate = positive(rate, "exp_decay spectrum rate")
         return Spectrum(np.exp(-rate * np.arange(n, dtype=np.float64)))
     if kind == "harmonic":
         return Spectrum(1.0 / np.arange(1, n + 1, dtype=np.float64))
@@ -275,17 +273,6 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
     if n is not None and n != arr.size:
         raise ConfigError(f"explicit spectrum has {arr.size} values, n={n}")
     return Spectrum(np.sort(arr)[::-1])
-
-
-def _check_positive(value, name: str, kind, wanted: str) -> None:
-    """``value`` is a ``kind`` number, not a bool, in (0, inf) as a double."""
-    try:
-        ok = not isinstance(value, bool) and isinstance(value, kind) \
-            and 0.0 < float(value) < math.inf
-    except OverflowError:  # an integer beyond the doubles
-        ok = False
-    if not ok:
-        raise ConfigError(f"{name} must be a positive {wanted}, got {value!r}")
 
 
 def load_covariance_csv(path) -> CovarianceMatrix:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DeltaOutOfRange
+from .errors import ConfigError, DeltaOutOfRange, positive
 from .mc import (
     ChannelModel,
     MCConfig,
@@ -84,9 +84,9 @@ def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,
     report passes when the gap sequence is non-increasing up to combined
     noise and the final gap sits within the analytic bound plus noise.
     """
-    scales = [float(c) for c in bias_scales]
-    if not scales or any(c <= 0 for c in scales) or sorted(scales) != scales:
-        raise ConfigError("bias_scales must be positive and ascending")
+    scales = [positive(c, "bias_scales") for c in bias_scales]
+    if not scales or sorted(scales) != scales:
+        raise ConfigError("bias_scales must be non-empty and ascending")
     decomposition = decompose_covariance(cov)
     weights = build_optimal_weights(budget, decomposition, noise_var, hidden_dim)
     closed = mmi_fc(ChannelParams(noise_var, budget), decomposition.spectrum,
@@ -247,6 +247,7 @@ def _check_bijective_invariance(seed: int, instances: int = 3) -> dict:
 
 def run_verification(seed: int = 0, mmi_offset: float = 0.0) -> dict:
     """Run every check and aggregate into one report document."""
+    seed = positive(seed, "seed", integer=True, least=0)
     checks = [
         _check_achievability(seed, mmi_offset),
         _check_optimizer(seed),

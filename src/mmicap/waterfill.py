@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NegativeBudget, NonPositiveEigenvalue, NumericalOverflow
+from .errors import IndexOutOfRange, NonPositiveEigenvalue, NumericalOverflow, budgets, positive
 from .spectrum import Spectrum, _frozen_array
 
 
@@ -67,8 +67,6 @@ def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
     computed afresh; callers read them through ``_waterfill_state``."""
     if not 1 <= n_tilde <= len(spectrum):
         raise IndexOutOfRange(f"component count {n_tilde} outside [1, {len(spectrum)}]")
-    if noise_var <= 0.0:
-        raise ValueError("noise_var must be positive")
     # The smallest eigenvalue of the prefix gives the largest floor.
     if not math.isfinite(noise_var / float(spectrum.values[n_tilde - 1])):
         raise NonPositiveEigenvalue(
@@ -88,6 +86,8 @@ def _waterfill_state(spectrum: Spectrum, noise_var: float, n_tilde: int):
     The entry is one tuple swapped in by a single attribute store, so threads
     asking for different keys each read a consistent entry.
     """
+    noise_var = positive(noise_var, "noise_var")
+    n_tilde = positive(n_tilde, "component count", integer=True, error=IndexOutOfRange)
     held = spectrum._waterfill
     if held is not None and held[0] == noise_var and held[1] == n_tilde:
         return held[2], held[3]
@@ -126,10 +126,7 @@ def regime(budget, bp: Breakpoints):
     never changes the value).  An array of budgets gives an array of K.
     Raises NegativeBudget unless every budget lies in [0, inf).
     """
-    budgets = np.asarray(budget)
-    if not np.all((0.0 <= budgets) & (budgets < math.inf)):
-        raise NegativeBudget(f"budget must be non-negative and finite, got {budget}")
-    excluded = len(bp) - np.searchsorted(bp.values, budget, side="right")
+    excluded = len(bp) - np.searchsorted(bp.values, budgets(budget), side="right")
     return int(excluded) if np.ndim(excluded) == 0 else excluded
 
 

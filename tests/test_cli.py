@@ -144,6 +144,24 @@ class TestCmdCurve:
         assert lines[0] == "F,mmi,regime_K,active_components"
         assert len(lines) == 6
 
+    def test_gnuplot_data_stays_beside_a_script_without_suffix(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.d").mkdir()
+        code, _, _ = run_cli(["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1",
+                              "--F-grid", "0:2:5", "--gnuplot", "out.d/plot"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.d"]
+        assert sorted(p.name for p in (tmp_path / "out.d").iterdir()) == ["plot", "plot.csv"]
+        assert "'out.d/plot.csv'" in (tmp_path / "out.d" / "plot").read_text()
+
+    def test_gnuplot_script_named_like_its_data_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "plot.csv"
+        code, out, err = run_cli(["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1",
+                                  "--F-grid", "0:2:5", "--gnuplot", str(script)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --gnuplot") and not script.exists()
+
     def test_grid_required(self, capsys):
         code, _, err = run_cli(["curve", "--arch", "fc:2,2",
                                 "--spectrum", "list:2,1"], capsys)
@@ -253,6 +271,20 @@ class TestCmdVerify:
                                   "--corrupt-closed-form", "0.1"], capsys)
         assert code == 1
         assert "FAIL achievability" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys, source):
+        args = (["verify", "--seed", "-1"] if source == "flag"
+                else ["verify", "--config", write_config(tmp_path, {"seed": -1})])
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be")
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "0", None])
+    def test_run_verification_rejects_a_seed_that_is_no_count(self, seed):
+        from mmicap import ConfigError, run_verification
+        with pytest.raises(ConfigError, match="seed"):
+            run_verification(seed=seed)
 
 
 class TestEntryPoint:

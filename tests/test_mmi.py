@@ -10,6 +10,7 @@ from mmicap import (
     ArchitectureSpec,
     BlockCovariance,
     ChannelParams,
+    ConfigError,
     Convolutional,
     CovarianceMatrix,
     DimensionMismatch,
@@ -501,8 +502,62 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: evaluate(CONV_4_2_2, TWO_ONE, 1.0, 1.0), DimensionMismatch),
     (lambda: evaluate(CONV_4_2_2, BlockCovariance(CovarianceMatrix(np.eye(3)), 2), 1.0, 1.0),
      DimensionMismatch),
+    (lambda: FullyConnected(math.nan, 2), DimensionMismatch),
+    (lambda: FullyConnected(math.inf, 2), DimensionMismatch),
+    (lambda: FullyConnected(True, 2), DimensionMismatch),
+    (lambda: FullyConnected(2.0, 2), DimensionMismatch),
+    (lambda: FullyConnected(2, "2"), DimensionMismatch),
+    (lambda: Convolutional(4, 2, 2.0), DimensionMismatch),
+    (lambda: MultiLayer((2, 2.5)), DimensionMismatch),
+    (lambda: ChannelParams(True, 1.0), ConfigError),
+    (lambda: ChannelParams(1.0, -1.0), NegativeBudget),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, math.nan, 1.0),
+     ConfigError),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, "1", 1.0), ConfigError),
+    # the held state is keyed by noise variance, and True == 1.0
+    (lambda: [evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, s, 1.0)
+              for s in (1.0, True)], ConfigError),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, "1"),
+     NegativeBudget),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, True),
+     NegativeBudget),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, [[1.0], [1.0, 2.0]]),
+     NegativeBudget),
+    (lambda: mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, ["0", "1"]),
+     NegativeBudget),
+    (lambda: mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, [1.0, 0.5]),
+     ConfigError),
+    (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, math.nan),
+     ConfigError),
+    (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, "0.1"),
+     ConfigError),
+    (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, math.inf, 0.1),
+     ConfigError),
 ], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
-        "unknown-family", "spectrum-for-conv", "wrong-block-size"])
+        "unknown-family", "spectrum-for-conv", "wrong-block-size", "nan-dim", "inf-dim",
+        "bool-dim", "float-dim", "string-dim", "float-filters", "float-width",
+        "bool-noise-params", "negative-budget-params", "nan-noise", "string-noise",
+        "bool-noise-held", "string-budget", "bool-budget", "ragged-budgets",
+        "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_numpy_scalars_give_the_python_number_results():
+    spec = model_spectrum("exp_decay", 6, rate=0.4)
+    grid = np.linspace(0.0, 9.0, 31)
+    python = evaluate(ArchitectureSpec(FullyConnected(6, 4)), spec, 0.7, grid)
+    numpy = evaluate(ArchitectureSpec(FullyConnected(np.int64(6), np.int64(4))), spec,
+                     np.float64(0.7), grid)
+    for field in ("nats", "regime", "active_components"):
+        np.testing.assert_array_equal(getattr(numpy, field), getattr(python, field))
+    np.testing.assert_array_equal(numpy.breakpoints.values, python.breakpoints.values)
+    arch = ArchitectureSpec(MultiLayer((np.int64(5), np.int32(3))))
+    assert invert_mmi(arch, spec, np.float64(0.7), np.float64(1.5)) \
+        == invert_mmi(ArchitectureSpec(MultiLayer((5, 3))), spec, 0.7, 1.5)
+    block = BlockCovariance(CovarianceMatrix(np.diag(spec.values[:3])), np.int64(2))
+    conv = ArchitectureSpec(Convolutional(np.int64(6), np.int64(3), np.int64(2)))
+    assert evaluate(conv, block, np.float64(0.7), 2.5).nats == evaluate(
+        ArchitectureSpec(Convolutional(6, 3, 2)),
+        BlockCovariance(CovarianceMatrix(np.diag(spec.values[:3])), 2), 0.7, 2.5).nats

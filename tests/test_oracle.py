@@ -11,9 +11,12 @@ import mmicap
 from mmicap import (
     BlockCovariance,
     ChannelParams,
+    ConfigError,
     CovarianceMatrix,
     DimensionMismatch,
     InfeasibleFactorization,
+    MmicapError,
+    NegativeBudget,
     OptimizerConfig,
     Spectrum,
     WeightMatrix,
@@ -475,6 +478,85 @@ class TestWeightMatrix:
         w = WeightMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             w.entries[0, 0] = 9.0
+
+
+DIAG = CovarianceMatrix(np.diag([3.0, 1.5, 0.5]))
+BLOCK = BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 2)
+ONE_RUN = OptimizerConfig(restarts=1)
+EYE = WeightMatrix(np.eye(2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: maximize_mi(1.0, DIAG, -1.0, 2, ONE_RUN), ConfigError),
+    (lambda: maximize_mi(1.0, DIAG, math.nan, 2, ONE_RUN), ConfigError),
+    (lambda: maximize_mi(math.nan, DIAG, 1.0, 2, ONE_RUN), NegativeBudget),
+    (lambda: maximize_mi(math.inf, DIAG, 1.0, 2, ONE_RUN), NegativeBudget),
+    (lambda: maximize_mi(-1.0, DIAG, 1.0, 2, ONE_RUN), NegativeBudget),
+    (lambda: maximize_mi(np.array([1.0, 2.0]), DIAG, 1.0, 2, ONE_RUN), DimensionMismatch),
+    (lambda: maximize_mi(1.0, DIAG, 1.0, 2.0, ONE_RUN), DimensionMismatch),
+    (lambda: maximize_mi_conv(1.0, BLOCK, 2, math.nan, ONE_RUN), ConfigError),
+    (lambda: maximize_mi_conv(1.0, BLOCK, 0, 1.0, ONE_RUN), DimensionMismatch),
+    (lambda: maximize_mi_conv(1.0, BLOCK, 1.5, 1.0, ONE_RUN), DimensionMismatch),
+    (lambda: exact_linear_mi(EYE, CovarianceMatrix(np.eye(2)), math.nan), ConfigError),
+    (lambda: exact_linear_mi(EYE, CovarianceMatrix(np.eye(2)), math.inf), ConfigError),
+    (lambda: exact_linear_mi(EYE, CovarianceMatrix(np.eye(2)), -1.0), ConfigError),
+    (lambda: build_optimal_weights(1.0, decompose_covariance(DIAG), 1.0, 2.5),
+     DimensionMismatch),
+    (lambda: build_optimal_weights(1.0, decompose_covariance(DIAG), math.nan, 2), ConfigError),
+    (lambda: factor_check_multilayer(EYE, [2.5], CovarianceMatrix(np.eye(2)), 1.0),
+     DimensionMismatch),
+    (lambda: factor_check_multilayer(EYE, [], CovarianceMatrix(np.eye(2)), 1.0),
+     DimensionMismatch),
+    (lambda: OptimizerConfig(step_size=math.nan), ConfigError),
+    (lambda: OptimizerConfig(tolerance=True), ConfigError),
+    (lambda: OptimizerConfig(max_iters=2.5), ConfigError),
+    (lambda: OptimizerConfig(restarts=0), ConfigError),
+    (lambda: OptimizerConfig(seed=-1), ConfigError),
+    (lambda: WeightMatrix([[3.0, 4.0]], frobenius_sq=math.nan), ConfigError),
+    (lambda: WeightMatrix([[math.nan, 4.0]]), ConfigError),
+], ids=["negative-noise", "nan-noise", "nan-budget", "inf-budget", "negative-budget",
+        "array-budget", "float-hidden-dim", "conv-nan-noise", "zero-filters", "float-filters",
+        "exact-nan-noise", "exact-inf-noise", "exact-negative-noise", "weights-float-hidden",
+        "weights-nan-noise", "float-width", "no-widths", "nan-step", "bool-tolerance",
+        "float-max-iters", "zero-restarts", "negative-seed", "nan-declared-norm",
+        "nan-weights"])
+def test_rejects_malformed_input(call, error):
+    with pytest.raises(MmicapError) as caught:
+        call()
+    assert type(caught.value) is error
+
+
+def test_numpy_scalars_give_the_python_number_results():
+    dec = decompose_covariance(DIAG)
+    weights = build_optimal_weights(np.float64(2.0), dec, np.float64(0.5), np.int64(2))
+    np.testing.assert_array_equal(
+        weights.entries, build_optimal_weights(2.0, dec, 0.5, 2).entries)
+    assert exact_linear_mi(weights, DIAG, np.float64(0.5)) == exact_linear_mi(weights, DIAG, 0.5)
+    config = OptimizerConfig(max_iters=np.int64(50), seed=np.int64(3), restarts=np.int32(2),
+                             step_size=np.float64(0.1))
+    numpy = maximize_mi(np.float64(2.0), DIAG, np.float64(0.5), np.int64(2), config)
+    python = maximize_mi(2.0, DIAG, 0.5, 2, OptimizerConfig(max_iters=50, seed=3, restarts=2))
+    np.testing.assert_array_equal(numpy.weights.entries, python.weights.entries)
+    assert (numpy.nats, numpy.iterations) == (python.nats, python.iterations)
+
+
+def test_input_policy_lives_in_errors():
+    # every number check goes through errors.positive and errors.budgets: no
+    # module raises an untyped ValueError or TypeError, and only errors.py
+    # tests for the numeric ABCs
+    for path in sorted(Path(mmicap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert ast.unparse(raised) not in ("ValueError", "TypeError"), \
+                    (path.name, node.lineno)
+            if path.name == "errors.py":
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in (
+                    ("numbers", "Real"), ("numbers", "Integral")), (path.name, node.lineno)
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "numbers", (path.name, node.lineno)
 
 
 def test_runtime_imports_no_scipy():

@@ -15,6 +15,7 @@ from mmicap import (
     CovarianceMatrix,
     DimensionMismatch,
     IndexOutOfRange,
+    NegativeBudget,
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
@@ -22,12 +23,14 @@ from mmicap import (
     Spectrum,
     WaterfillSolution,
     WeightMatrix,
+    breakpoints,
     decompose_covariance,
     eigvals_from_covariance,
     linear_channel,
     load_covariance_csv,
     load_spectrum_json,
     model_spectrum,
+    sample_gaussian_inputs,
     solve_waterfill,
 )
 
@@ -314,8 +317,25 @@ def write_file(directory, name, text):
     (lambda tmp: model_spectrum("explicit"), ConfigError),
     (lambda tmp: model_spectrum("explicit", 3, values=[2.0, 1.0]), ConfigError),
     (lambda tmp: load_covariance_csv(write_file(tmp, "cov.csv", "\n , \n")), ConfigError),
+    (lambda tmp: CovarianceMatrix([[1.0, math.inf], [math.inf, 1.0]]), ConfigError),
+    (lambda tmp: Spectrum(np.array([1.0, 2.0])), ConfigError),
+    (lambda tmp: model_spectrum("harmonic", 2.0), ConfigError),
+    (lambda tmp: model_spectrum("harmonic", np.True_), ConfigError),
+    (lambda tmp: model_spectrum("exp_decay", 3, rate=math.nan), ConfigError),
+    (lambda tmp: BlockCovariance(CovarianceMatrix(np.eye(2)), 2.0), DimensionMismatch),
+    (lambda tmp: BlockCovariance(CovarianceMatrix(np.eye(2)), True), DimensionMismatch),
+    (lambda tmp: breakpoints(model_spectrum("harmonic", 2), math.nan, 2), ConfigError),
+    (lambda tmp: breakpoints(model_spectrum("harmonic", 2), math.inf, 2), ConfigError),
+    (lambda tmp: breakpoints(model_spectrum("harmonic", 2), "1", 2), ConfigError),
+    (lambda tmp: breakpoints(model_spectrum("harmonic", 2), 1.0, 1.5), IndexOutOfRange),
+    (lambda tmp: solve_waterfill(math.inf, model_spectrum("harmonic", 2), 1.0, 2),
+     NegativeBudget),
+    (lambda tmp: sample_gaussian_inputs(CovarianceMatrix(np.eye(2)), 2.5, 0), ConfigError),
 ], ids=["empty-spectrum", "2d-spectrum", "non-square-covariance", "non-finite-covariance",
-        "explicit-without-values", "explicit-length-mismatch", "empty-covariance-csv"])
+        "explicit-without-values", "explicit-length-mismatch", "empty-covariance-csv",
+        "infinite-covariance", "ascending-spectrum", "float-length", "numpy-bool-length",
+        "nan-rate", "float-repetitions", "bool-repetitions", "nan-noise", "inf-noise",
+        "string-noise", "float-component-count", "inf-budget", "float-sample-count"])
 def test_rejects_malformed_input(tmp_path, call, error):
     with pytest.raises(error):
         call(tmp_path)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mmicap import (
     ArchitectureSpec,
     BlockCovariance,
+    ConfigError,
     Convolutional,
     CovarianceMatrix,
     FullyConnected,
@@ -391,7 +392,7 @@ class TestHeldState:
         (lambda s: solve_waterfill(1.0, s, 1e306, 3), NonPositiveEigenvalue),
         (lambda s: breakpoints(s, 0.0, 3), ValueError),
         (lambda s: breakpoints(s, -1.0, 3), ValueError),
-        (lambda s: breakpoints(s, np.nan, 3), NonPositiveEigenvalue),
+        (lambda s: breakpoints(s, np.nan, 3), ConfigError),
         (lambda s: solve_waterfill(np.nan, s, 1.0, 3), NegativeBudget),
     ], ids=["no-components", "past-the-last", "floor-overflow", "zero-noise",
             "negative-noise", "nan-noise", "nan-budget"])
