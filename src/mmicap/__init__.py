@@ -35,7 +35,6 @@ from .mc import (
 )
 from .mmi import (
     ArchitectureSpec,
-    ChannelParams,
     Convolutional,
     FullyConnected,
     MmiResult,
@@ -43,11 +42,8 @@ from .mmi import (
     evaluate,
     invert_mmi,
     mmi_approx_large_n,
-    mmi_conv,
     mmi_curve,
-    mmi_fc,
     mmi_formula,
-    mmi_multilayer,
 )
 from .oracle import (
     OptimizeResult,

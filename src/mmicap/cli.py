@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, MmicapError, positive
+from .errors import ConfigError, MmicapError, finite, positive
 from .mmi import (ArchitectureSpec, Convolutional, FullyConnected, MultiLayer, evaluate,
                   mmi_curve)
 from .spectrum import (SPECTRUM_KINDS, BlockCovariance, CovarianceMatrix,
@@ -80,15 +80,13 @@ def _check(value, name: str, kind, required: bool = True):
         return [_check(item, name, kind[0]) for item in _check(value, name, list)]
     if isinstance(kind, tuple):
         ok, wanted = value in kind, "one of " + ", ".join(kind)
-    elif kind is float:
-        # Compared, not converted: an integer too large for a float is rejected.
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        wanted = "a finite number"
+    elif kind is float:  # a list is not a number
+        ok, wanted = not isinstance(value, list), "real and finite"
     else:
         ok, wanted = isinstance(value, kind), _WANTED[kind]
     if isinstance(value, bool) or not ok:
         raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-    return float(value) if kind is float else value
+    return finite(value, name) if kind is float else value
 
 
 def _bound(count: int, name: str) -> int:

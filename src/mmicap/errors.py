@@ -1,6 +1,7 @@
 """Exception types, and the one input policy: every public entry point checks
-its numbers through ``positive`` and ``budgets`` (the README lists the rule for
-each input).  ``ConfigError`` is also a ``ValueError``."""
+its numbers through ``positive``, ``finite`` and ``budgets`` (the README lists
+the rule for each input); bools and strings are not numbers to any of them.
+``ConfigError`` is also a ``ValueError``."""
 
 import numbers
 import operator
@@ -77,6 +78,22 @@ def positive(value, name: str, *, integer: bool = False, least: int = 1,
         wanted = f"an integer of at least {least}" if integer else "a positive finite number"
         raise error(f"{name} must be {wanted}, got {value!r}")
     return number
+
+
+def finite(value, name: str):
+    """``value``, a number or an array or sequence of them, as a float or a
+    float64 array; raises ``ConfigError`` unless each is a finite real number."""
+    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    ok = arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat)
+    try:
+        arr = arr.astype(np.float64, copy=False) if ok else arr
+    except OverflowError:  # a Python int past the doubles
+        ok = False
+    if not (ok and np.all(np.isfinite(arr))):
+        got = f", got {value!r}" if arr.ndim == 0 else ""  # an array may be large
+        raise ConfigError(f"{name} must be real and finite{got}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def budgets(value):

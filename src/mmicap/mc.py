@@ -276,11 +276,6 @@ def estimate_entropy(model: ChannelModel, cov: CovarianceMatrix,
     return MCEstimate(value, se, mc)
 
 
-def conditional_entropy(model: ChannelModel) -> float:
-    """Exact H(Z|X) for linear and relu channels: pure noise entropy."""
-    return 0.5 * model.hidden_dim * math.log(2.0 * math.pi * math.e * model.noise_var)
-
-
 def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
                 mc: MCConfig) -> MCEstimate:
     """Mutual information I(X;Z) as estimated entropy minus H(Z|X).
@@ -292,7 +287,7 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
     """
     contributions = _entropy_contributions(model, *_draw(model, cov, mc))
     value, se = _mean_se(contributions)
-    cond = conditional_entropy(model)
+    cond = 0.5 * model.hidden_dim * math.log(2.0 * math.pi * math.e * model.noise_var)
     if model.activation == "bijective":
         rng = np.random.default_rng(np.random.SeedSequence(mc.seed).spawn(4)[3])
         x = sample_gaussian_inputs(cov, mc.n_outer, rng)

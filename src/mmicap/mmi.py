@@ -69,7 +69,12 @@ class Convolutional:
 
 @dataclass(frozen=True)
 class MultiLayer:
-    """Stacked dense layers; widths are the hidden-layer sizes in order."""
+    """Stacked dense layers; widths are the hidden-layer sizes in order.
+
+    The budget constrains the end-to-end product matrix, whose rank is
+    capped by the narrowest layer, so the stack collapses to the dense
+    formula at hidden_dim = min(widths).
+    """
 
     widths: tuple[int, ...]
 
@@ -92,19 +97,7 @@ class ArchitectureSpec:
     family: FullyConnected | Convolutional | MultiLayer
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Noise variance of the output channel and the weight budget(s)."""
-
-    noise_var: float
-    budget: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "noise_var", positive(self.noise_var, "noise_var"))
-        budgets(self.budget)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MmiResult:
     """Capacity value with the regime bookkeeping behind it.
 
@@ -112,7 +105,7 @@ class MmiResult:
     active_components = bottleneck - regime is the branch order of the
     piecewise formula that produced ``nats``.  For an array of budgets,
     ``nats``, ``regime`` and ``active_components`` are arrays over them.
-    Immutable: every point of a curve shares one ``breakpoints``.
+    Immutable and compared by identity; every point of a curve shares one ``breakpoints``.
     """
 
     nats: float
@@ -176,30 +169,6 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
                     repetitions * mmi_formula(spectrum, noise_var, budget, active))
     nats = float(nats) if np.ndim(budget) == 0 else nats
     return MmiResult(nats, excluded, bp, active)
-
-
-def mmi_fc(params: ChannelParams, spectrum: Spectrum, input_dim: int,
-           hidden_dim: int) -> MmiResult:
-    """Capacity of the dense single-layer family."""
-    arch = ArchitectureSpec(FullyConnected(input_dim, hidden_dim))
-    return evaluate(arch, spectrum, params.noise_var, params.budget)
-
-
-def mmi_conv(params: ChannelParams, block: BlockCovariance, num_filters: int) -> MmiResult:
-    """Capacity of the tied-filter convolutional family."""
-    arch = ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, num_filters))
-    return evaluate(arch, block, params.noise_var, params.budget)
-
-
-def mmi_multilayer(params: ChannelParams, spectrum: Spectrum, widths) -> MmiResult:
-    """Capacity of a stack of dense layers with noise on the last one.
-
-    The budget constrains the end-to-end product matrix, whose rank is
-    capped by the narrowest layer, so the stack collapses to the dense
-    formula at hidden_dim = min(widths).
-    """
-    family = widths if isinstance(widths, MultiLayer) else MultiLayer(tuple(widths))
-    return evaluate(ArchitectureSpec(family), spectrum, params.noise_var, params.budget)
 
 
 def mmi_approx_large_n(spectrum: Spectrum, n_tilde: int) -> float:

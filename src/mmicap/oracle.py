@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, InfeasibleFactorization, MmicapError,
-                     budgets, positive)
+                     budgets, finite, positive)
+from .mmi import MultiLayer
 from .spectrum import (
     BlockCovariance,
     CovarianceMatrix,
@@ -40,11 +41,9 @@ class WeightMatrix:
     frobenius_sq: float | None = None
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.float64)
+        a = np.asarray(finite(self.entries, "weights"))
         if a.ndim != 2 or a.size == 0:
             raise DimensionMismatch(f"weights must be a 2-D matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ConfigError("weights contain non-finite entries")
         fro = float(np.sum(a * a))
         if self.frobenius_sq is not None:
             gap = abs(self.frobenius_sq - fro)
@@ -114,18 +113,22 @@ def _mi_value(w: np.ndarray, cov: np.ndarray, noise_var: float):
     return factor, nats
 
 
+def _checked_mi_value(weights: WeightMatrix, cov: CovarianceMatrix, noise_var: float):
+    """``_mi_value`` behind the checks of the public MI entry points."""
+    noise_var = positive(noise_var, "noise_var")
+    if weights.input_dim != cov.dim:
+        raise DimensionMismatch(
+            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")
+    return _mi_value(weights.entries, cov.entries, noise_var)
+
+
 def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
                     noise_var: float) -> float:
     """Exact mutual information of the linear Gaussian channel, in nats.
 
     (1/2) log det(Id + W Cov W^T / noise_var); independent of any bias.
     """
-    noise_var = positive(noise_var, "noise_var")
-    if weights.input_dim != cov.dim:
-        raise DimensionMismatch(
-            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")
-    _, nats = _mi_value(weights.entries, cov.entries, noise_var)
-    return nats
+    return _checked_mi_value(weights, cov, noise_var)[1]
 
 
 def _gradient(w: np.ndarray, factor, cov: np.ndarray, noise_var: float) -> np.ndarray:
@@ -136,7 +139,7 @@ def _gradient(w: np.ndarray, factor, cov: np.ndarray, noise_var: float) -> np.nd
 def mi_gradient(weights: WeightMatrix, cov: CovarianceMatrix,
                 noise_var: float) -> np.ndarray:
     """Gradient of exact_linear_mi with respect to the weight entries."""
-    factor, _ = _mi_value(weights.entries, cov.entries, noise_var)
+    factor, _ = _checked_mi_value(weights, cov, noise_var)
     return _gradient(weights.entries, factor, cov.entries, noise_var)
 
 
@@ -338,9 +341,7 @@ def factor_check_multilayer(weights: WeightMatrix, widths, cov: CovarianceMatrix
     and scores the product, which reconstructs the original matrix whenever
     every width can carry its rank.
     """
-    widths = [positive(w, "widths", integer=True, error=DimensionMismatch) for w in widths]
-    if not widths:
-        raise DimensionMismatch("widths must be non-empty")
+    widths = MultiLayer(tuple(widths)).widths
     w = weights.entries
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * RANK_RTOL)) if s.size else 0

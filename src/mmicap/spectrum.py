@@ -24,6 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     NumericalOverflow,
+    finite,
     positive,
 )
 
@@ -166,11 +167,9 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.float64)
+        a = np.asarray(finite(self.entries, "covariance entries"))
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionMismatch(f"covariance must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ConfigError("covariance contains non-finite entries")
         scale = float(np.max(np.abs(a)))
         if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
             raise NotSymmetric("covariance is not symmetric within tolerance")
@@ -266,10 +265,7 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
         return Spectrum(1.0 / np.arange(1, n + 1, dtype=np.float64))
     if values is None:
         raise ConfigError("explicit spectrum requires values")
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"explicit spectrum values must be numbers: {exc}") from exc
+    arr = finite(values, "explicit spectrum values")
     if n is not None and n != arr.size:
         raise ConfigError(f"explicit spectrum has {arr.size} values, n={n}")
     return Spectrum(np.sort(arr)[::-1])

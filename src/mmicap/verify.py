@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DeltaOutOfRange, positive
+from .errors import ConfigError, DeltaOutOfRange, DimensionMismatch, finite, positive
 from .mc import (
     ChannelModel,
     MCConfig,
@@ -24,7 +24,7 @@ from .mc import (
     relu_channel,
     verify_entropy_ordering,
 )
-from .mmi import ChannelParams, mmi_fc, mmi_formula
+from .mmi import ArchitectureSpec, FullyConnected, evaluate, mmi_formula
 from .oracle import (
     OptimizerConfig,
     WeightMatrix,
@@ -67,6 +67,8 @@ def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
     """
     if not 0.0 <= delta < _INV_E:
         raise DeltaOutOfRange(f"delta must lie in [0, 1/e), got {delta}")
+    noise_var = positive(noise_var, "noise_var")
+    hidden_dim = positive(hidden_dim, "hidden_dim", integer=True, error=DimensionMismatch)
     if delta == 0.0:
         return 0.0
     m_const = max(1.0, (2.0 * math.pi * noise_var) ** (-0.5 * hidden_dim))
@@ -89,8 +91,8 @@ def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,
         raise ConfigError("bias_scales must be non-empty and ascending")
     decomposition = decompose_covariance(cov)
     weights = build_optimal_weights(budget, decomposition, noise_var, hidden_dim)
-    closed = mmi_fc(ChannelParams(noise_var, budget), decomposition.spectrum,
-                    cov.dim, hidden_dim).nats
+    closed = evaluate(ArchitectureSpec(FullyConnected(cov.dim, hidden_dim)),
+                      decomposition.spectrum, noise_var, budget).nats
     rows = []
     for scale, row_seed in zip(scales, np.random.SeedSequence(mc.seed).spawn(len(scales))):
         model = relu_channel(weights, np.full(hidden_dim, scale), noise_var)
@@ -145,14 +147,14 @@ def _check_achievability(seed: int, mmi_offset: float, instances: int = 40) -> d
         bp = breakpoints(spectrum, noise_var, n_tilde).values
         budgets = list(bp) + list(0.5 * (bp[:-1] + bp[1:])) + [bp[-1] * 1.5 + 1.0]
         for budget in budgets:
-            closed = mmi_fc(ChannelParams(noise_var, budget), spectrum,
-                            input_dim, hidden_dim).nats + mmi_offset
+            closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
+                              spectrum, noise_var, budget).nats + mmi_offset
             achieved = exact_linear_mi(
                 build_optimal_weights(budget, decomposition, noise_var, hidden_dim),
                 cov, noise_var)
-            worst = max(worst, abs(achieved - closed))
+            worst = np.maximum(worst, abs(achieved - closed))  # a NaN gap stays NaN
     return {"name": "achievability", "instances": instances,
-            "max_abs_gap": worst, "tolerance": 1e-9, "pass": bool(worst <= 1e-9)}
+            "max_abs_gap": float(worst), "tolerance": 1e-9, "pass": bool(worst <= 1e-9)}
 
 
 def _check_optimizer(seed: int, instances: int = 3) -> dict:
@@ -164,14 +166,14 @@ def _check_optimizer(seed: int, instances: int = 3) -> dict:
         cov = _random_covariance(rng, 3)
         spectrum = decompose_covariance(cov).spectrum
         budget = float(rng.uniform(0.5, 4.0))
-        closed = mmi_fc(ChannelParams(1.0, budget), spectrum, 3, 2).nats
+        closed = evaluate(ArchitectureSpec(FullyConnected(3, 2)), spectrum, 1.0, budget).nats
         result = maximize_mi(budget, cov, 1.0, 2,
                              OptimizerConfig(seed=seed * 31 + i, restarts=3))
-        worst = max(worst, closed - result.nats)
+        worst = np.maximum(worst, closed - result.nats)  # a NaN gap stays NaN
         sound = sound and result.nats <= closed + 1e-9
         converged = converged and result.converged
     return {"name": "optimizer-gap", "instances": instances,
-            "max_gap": worst, "tolerance": 1e-4, "sound": sound, "converged": converged,
+            "max_gap": float(worst), "tolerance": 1e-4, "sound": sound, "converged": converged,
             "pass": bool(worst <= 1e-4 and sound)}
 
 
@@ -189,9 +191,9 @@ def _check_breakpoint_agreement(seed: int, instances: int = 100) -> dict:
             budget = float(bp[k - 1])
             low = mmi_formula(spectrum, noise_var, budget, k - 1)
             high = mmi_formula(spectrum, noise_var, budget, k)
-            worst = max(worst, abs(high - low))
+            worst = np.maximum(worst, abs(high - low))  # a NaN gap stays NaN
     return {"name": "breakpoint-agreement", "instances": instances,
-            "max_abs_gap": worst, "tolerance": 1e-10, "pass": bool(worst <= 1e-10)}
+            "max_abs_gap": float(worst), "tolerance": 1e-10, "pass": bool(worst <= 1e-10)}
 
 
 def _check_relu_large_bias(seed: int) -> dict:
@@ -248,6 +250,7 @@ def _check_bijective_invariance(seed: int, instances: int = 3) -> dict:
 def run_verification(seed: int = 0, mmi_offset: float = 0.0) -> dict:
     """Run every check and aggregate into one report document."""
     seed = positive(seed, "seed", integer=True, least=0)
+    mmi_offset = finite(mmi_offset, "mmi_offset")
     checks = [
         _check_achievability(seed, mmi_offset),
         _check_optimizer(seed),

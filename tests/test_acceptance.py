@@ -15,26 +15,27 @@ import numpy as np
 import pytest
 
 from mmicap import (
+    ArchitectureSpec,
     BlockCovariance,
-    ChannelParams,
+    Convolutional,
     CovarianceMatrix,
     DeltaOutOfRange,
+    FullyConnected,
     MCConfig,
+    MultiLayer,
     OptimizerConfig,
     WeightMatrix,
     breakpoints,
     build_optimal_weights,
     decompose_covariance,
     eigvals_from_covariance,
+    evaluate,
     exact_linear_mi,
     factor_check_multilayer,
     g_bound,
     maximize_mi,
     maximize_mi_conv,
-    mmi_conv,
-    mmi_fc,
     mmi_formula,
-    mmi_multilayer,
     model_spectrum,
     verify_entropy_ordering,
     verify_relu_theorem,
@@ -79,8 +80,8 @@ def test_criterion_1_achievability():
         n_tilde = min(input_dim, hidden_dim)
         bp = breakpoints(dec.spectrum, noise_var, n_tilde)
         for budget in budgets_spanning_breakpoints(bp.values):
-            closed = mmi_fc(ChannelParams(noise_var, budget), dec.spectrum,
-                            input_dim, hidden_dim).nats
+            closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
+                              dec.spectrum, noise_var, budget).nats
             weights = build_optimal_weights(budget, dec, noise_var, hidden_dim)
             worst = max(worst, abs(exact_linear_mi(weights, cov, noise_var) - closed))
     elapsed = time.perf_counter() - start
@@ -103,8 +104,8 @@ def test_criterion_2_optimizer():
         n_tilde = min(input_dim, hidden_dim)
         top = float(breakpoints(spectrum, noise_var, n_tilde).values[-1])
         budget = float(rng.uniform(0.1, top * 1.2 + 2.0))
-        closed = mmi_fc(ChannelParams(noise_var, budget), spectrum,
-                        input_dim, hidden_dim).nats
+        closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
+                          spectrum, noise_var, budget).nats
         result = maximize_mi(budget, cov, noise_var, hidden_dim,
                              OptimizerConfig(seed=1000 + i, restarts=5))
         worst_gap = max(worst_gap, closed - result.nats)
@@ -154,7 +155,7 @@ def test_criterion_4_piecewise_consistency():
     grid = np.linspace(0.0, 500.0, 400)
     for kind, rate in (("exp_decay", 0.1), ("harmonic", None)):
         spectrum = model_spectrum(kind, 100, rate=rate)
-        nats = [mmi_fc(ChannelParams(1.0, float(f)), spectrum, 100, 50).nats
+        nats = [evaluate(ArchitectureSpec(FullyConnected(100, 50)), spectrum, 1.0, float(f)).nats
                 for f in grid]
         curves_ok = curves_ok and nats[0] == 0.0 and bool(np.all(np.diff(nats) >= 0.0))
     elapsed = time.perf_counter() - start
@@ -173,9 +174,11 @@ def test_criterion_5_convolutional():
         b = rng.standard_normal((block_size, block_size))
         block = BlockCovariance(
             CovarianceMatrix(b @ b.T + 0.3 * np.eye(block_size)), reps)
-        closed = mmi_conv(ChannelParams(1.0, budget), block, num_filters)
-        dense = mmi_fc(ChannelParams(1.0, budget),
-                       eigvals_from_covariance(block.block), block_size, num_filters)
+        closed = evaluate(
+            ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, num_filters)),
+            block, 1.0, budget)
+        dense = evaluate(ArchitectureSpec(FullyConnected(block_size, num_filters)),
+                         eigvals_from_covariance(block.block), 1.0, budget)
         identity_exact = identity_exact and closed.nats == reps * dense.nats
         result = maximize_mi_conv(budget, block, num_filters, 1.0,
                                   OptimizerConfig(seed=2000 + input_dim, restarts=5))
@@ -199,8 +202,9 @@ def test_criterion_6_multilayer():
         depth = int(rng.integers(1, 5))
         widths = [int(w) for w in rng.integers(1, 9, size=depth)]
         budget = float(rng.uniform(0.0, 6.0))
-        stacked = mmi_multilayer(ChannelParams(1.0, budget), dec.spectrum, widths)
-        dense = mmi_fc(ChannelParams(1.0, budget), dec.spectrum, input_dim, min(widths))
+        stacked = evaluate(ArchitectureSpec(MultiLayer(tuple(widths))), dec.spectrum, 1.0, budget)
+        dense = evaluate(ArchitectureSpec(FullyConnected(input_dim, min(widths))),
+                         dec.spectrum, 1.0, budget)
         collapse_exact = collapse_exact and stacked.nats == dense.nats
         # explicit factorization of the capacity-achieving weights
         hidden_dim = int(rng.integers(1, 5))

@@ -286,6 +286,40 @@ class TestCmdVerify:
         with pytest.raises(ConfigError, match="seed"):
             run_verification(seed=seed)
 
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_non_finite_offset_exits_2_naming_it(self, capsys, offset):
+        code, out, err = run_cli(["verify", "--seed", "0", "--corrupt-closed-form", offset],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: mmi_offset must be real and finite")
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf, True, "0.1", None])
+    def test_run_verification_rejects_an_offset_that_is_no_finite_number(self, offset):
+        from mmicap import ConfigError, run_verification
+        with pytest.raises(ConfigError, match="mmi_offset"):
+            run_verification(mmi_offset=offset)
+
+    def test_nan_capacity_fails_every_check_that_reads_it(self, monkeypatch):
+        from dataclasses import replace
+
+        from mmicap import MCConfig, verify
+        real = verify.evaluate
+        monkeypatch.setattr(verify, "evaluate",
+                            lambda *args: replace(real(*args), nats=math.nan))
+        achievability = verify._check_achievability(0, 0.0, instances=3)
+        assert achievability["pass"] is False and math.isnan(achievability["max_abs_gap"])
+        optimizer = verify._check_optimizer(0, instances=1)
+        assert optimizer["pass"] is False and math.isnan(optimizer["max_gap"])
+        cov = verify.CovarianceMatrix(np.diag([3.0, 1.5, 0.5]))
+        relu = verify.verify_relu_theorem(2.0, cov, 1.0, 2, [2.0, 4.0], MCConfig(200, 200, 1))
+        assert relu["pass"] is False
+
+    def test_nan_branch_value_fails_breakpoint_agreement(self, monkeypatch):
+        from mmicap import verify
+        monkeypatch.setattr(verify, "mmi_formula", lambda *args: math.nan)
+        report = verify._check_breakpoint_agreement(0, instances=3)
+        assert report["pass"] is False and math.isnan(report["max_abs_gap"])
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

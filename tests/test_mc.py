@@ -16,10 +16,12 @@ from scipy.special import logsumexp
 
 import mmicap.mc
 from mmicap import (
-    ChannelParams,
+    ArchitectureSpec,
     ConfigError,
     CovarianceMatrix,
     DeltaOutOfRange,
+    DimensionMismatch,
+    FullyConnected,
     MCConfig,
     NumericalUnderflow,
     WeightMatrix,
@@ -29,10 +31,10 @@ from mmicap import (
     delta_bound,
     estimate_entropy,
     estimate_mi,
+    evaluate,
     exact_linear_mi,
     g_bound,
     linear_channel,
-    mmi_fc,
     relu_channel,
     sample_gaussian_inputs,
     verify_entropy_ordering,
@@ -251,6 +253,20 @@ class TestGBound:
             g_bound(1.0 / math.e, 1.0, 1)
         with pytest.raises(DeltaOutOfRange):
             g_bound(-0.01, 1.0, 1)
+
+    @pytest.mark.parametrize("noise_var, hidden_dim, error", [
+        (math.nan, 2, ConfigError),
+        (math.inf, 2, ConfigError),
+        (0.0, 2, ConfigError),
+        (True, 2, ConfigError),
+        (1.0, 2.0, DimensionMismatch),
+        (1.0, 0, DimensionMismatch),
+        (1.0, True, DimensionMismatch),
+    ], ids=["nan-noise", "inf-noise", "zero-noise", "bool-noise", "float-dim", "zero-dim",
+            "bool-dim"])
+    def test_rejects_malformed_input(self, noise_var, hidden_dim, error):
+        with pytest.raises(error):
+            g_bound(0.1, noise_var, hidden_dim)
 
     def test_monotone_and_vanishing(self):
         # with M = 1 the bound peaks at delta ~ 0.2885 and dips before 0.3,
@@ -644,7 +660,7 @@ class TestReluMatchesClosedFormSpectrum:
         # the closed form the relu suite compares against is the linear one
         cov = CovarianceMatrix(np.diag([3.0, 1.5, 0.5]))
         dec = decompose_covariance(cov)
-        closed = mmi_fc(ChannelParams(1.0, 2.0), dec.spectrum, 3, 2)
+        closed = evaluate(ArchitectureSpec(FullyConnected(3, 2)), dec.spectrum, 1.0, 2.0)
         w = build_optimal_weights(2.0, dec, 1.0, 2)
         assert exact_linear_mi(w, cov, 1.0) == pytest.approx(closed.nats, abs=1e-9)
 

@@ -9,7 +9,6 @@ import mmicap
 from mmicap import (
     ArchitectureSpec,
     BlockCovariance,
-    ChannelParams,
     ConfigError,
     Convolutional,
     CovarianceMatrix,
@@ -22,11 +21,8 @@ from mmicap import (
     evaluate,
     invert_mmi,
     mmi_approx_large_n,
-    mmi_conv,
     mmi_curve,
-    mmi_fc,
     mmi_formula,
-    mmi_multilayer,
     model_spectrum,
 )
 
@@ -43,36 +39,45 @@ def random_spectrum(rng, size, lo=1e-3, hi=1e3):
         rng.uniform(np.log(lo), np.log(hi), size=size)))
 
 
+def test_grid_results_compare_by_identity():
+    arch = ArchitectureSpec(FullyConnected(2, 2))
+    first = evaluate(arch, TWO_ONE, 1.0, [0.5, 1.0])
+    second = evaluate(arch, TWO_ONE, 1.0, [0.5, 1.0])
+    assert (first == first) is True
+    assert (first == second) is False and (first != second) is True
+
+
 class TestMmiFc:
     def test_zero_budget_scalar(self):
-        result = mmi_fc(ChannelParams(1.0, 0.0), model_spectrum("explicit", values=[1.0]), 1, 1)
+        result = evaluate(ArchitectureSpec(FullyConnected(1, 1)),
+                          model_spectrum("explicit", values=[1.0]), 1.0, 0.0)
         assert result.nats == 0.0
 
     def test_full_budget_hand_value(self):
-        result = mmi_fc(ChannelParams(1.0, 2.5), TWO_ONE, 2, 2)
+        result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5)
         assert result.nats == pytest.approx(FULL_BUDGET_NATS, abs=1e-12)
         assert result.regime == 0
         assert result.active_components == 2
 
     def test_small_budget_hand_value(self):
-        result = mmi_fc(ChannelParams(1.0, 0.25), TWO_ONE, 2, 2)
+        result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 0.25)
         assert result.nats == pytest.approx(SMALL_BUDGET_NATS, abs=1e-12)
         assert result.regime == 1
         assert result.active_components == 1
 
     def test_at_breakpoint(self):
-        result = mmi_fc(ChannelParams(1.0, 0.5), TWO_ONE, 2, 2)
+        result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 0.5)
         assert result.nats == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
         assert result.regime == 0
 
     def test_zero_iff_zero_budget(self):
         for budget in (1e-6, 0.1, 1.0, 17.0):
-            assert mmi_fc(ChannelParams(1.0, budget), TWO_ONE, 2, 2).nats > 0.0
-        assert mmi_fc(ChannelParams(1.0, 0.0), TWO_ONE, 2, 2).nats == 0.0
+            assert evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, budget).nats > 0.0
+        assert evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 0.0).nats == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mmi_fc(ChannelParams(1.0, 1.0), TWO_ONE, 3, 2)
+            evaluate(ArchitectureSpec(FullyConnected(3, 2)), TWO_ONE, 1.0, 1.0)
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf])
     def test_non_finite_budget_rejected(self, budget):
@@ -82,14 +87,14 @@ class TestMmiFc:
     @pytest.mark.parametrize("noise_var", [math.nan, math.inf])
     def test_non_finite_noise_rejected(self, noise_var):
         with pytest.raises(ValueError):
-            ChannelParams(noise_var, 1.0)
+            evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, noise_var, 1.0)
 
     def test_bottleneck_symmetry(self):
         rng = np.random.default_rng(5)
         spec = random_spectrum(rng, 4)
         for budget in (0.3, 2.0, 40.0):
-            wide = mmi_fc(ChannelParams(1.0, budget), spec, 4, 9)
-            wider = mmi_fc(ChannelParams(1.0, budget), spec, 4, 7)
+            wide = evaluate(ArchitectureSpec(FullyConnected(4, 9)), spec, 1.0, budget)
+            wider = evaluate(ArchitectureSpec(FullyConnected(4, 7)), spec, 1.0, budget)
             assert wide.nats == wider.nats
 
     def test_principal_component_truncation(self):
@@ -98,15 +103,16 @@ class TestMmiFc:
         perturbed = model_spectrum("explicit", values=np.concatenate(
             [spec.values[:3], spec.values[3:] * 0.37]))
         for budget in (0.2, 1.0, 8.0):
-            a = mmi_fc(ChannelParams(1.0, budget), spec, 6, 3)
-            b = mmi_fc(ChannelParams(1.0, budget), perturbed, 6, 3)
+            a = evaluate(ArchitectureSpec(FullyConnected(6, 3)), spec, 1.0, budget)
+            b = evaluate(ArchitectureSpec(FullyConnected(6, 3)), perturbed, 1.0, budget)
             assert a.nats == b.nats  # bit-identical: only the top 3 matter
 
     def test_strictly_increasing_in_budget(self):
         rng = np.random.default_rng(8)
         spec = random_spectrum(rng, 5, lo=0.1, hi=10.0)
         grid = np.linspace(0.0, 30.0, 400)
-        values = [mmi_fc(ChannelParams(1.0, float(f)), spec, 5, 5).nats for f in grid]
+        values = [evaluate(ArchitectureSpec(FullyConnected(5, 5)),
+                           spec, 1.0, float(f)).nats for f in grid]
         assert np.all(np.diff(values) > 0.0)
 
 
@@ -141,8 +147,8 @@ class TestScaleIdentities:
         base = random_spectrum(rng, 4, lo=0.2, hi=5.0)
         scaled = model_spectrum("explicit", values=c * base.values)
         for budget in (0.17, 0.9, 3.3, 25.0):
-            lhs = mmi_fc(ChannelParams(1.0, budget), scaled, 4, 4).nats
-            rhs = mmi_fc(ChannelParams(1.0 / c, budget), base, 4, 4).nats
+            lhs = evaluate(ArchitectureSpec(FullyConnected(4, 4)), scaled, 1.0, budget).nats
+            rhs = evaluate(ArchitectureSpec(FullyConnected(4, 4)), base, 1.0 / c, budget).nats
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @pytest.mark.parametrize("c", [2.0, 4.0, 3.0])
@@ -151,33 +157,36 @@ class TestScaleIdentities:
         base = random_spectrum(rng, 4, lo=0.2, hi=5.0)
         scaled = model_spectrum("explicit", values=c * base.values)
         for budget in (0.17, 0.9, 3.3, 25.0):
-            lhs = mmi_fc(ChannelParams(1.0, budget), scaled, 4, 4).nats
-            rhs = mmi_fc(ChannelParams(1.0, c * budget), base, 4, 4).nats
+            lhs = evaluate(ArchitectureSpec(FullyConnected(4, 4)), scaled, 1.0, budget).nats
+            rhs = evaluate(ArchitectureSpec(FullyConnected(4, 4)), base, 1.0, c * budget).nats
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_scaling_spectrum_and_budget_together_changes_value(self):
         c = 2.0
         scaled = model_spectrum("explicit", values=c * TWO_ONE.values)
-        lhs = mmi_fc(ChannelParams(1.0, c * 2.5), scaled, 2, 2).nats
-        rhs = mmi_fc(ChannelParams(1.0, 2.5), TWO_ONE, 2, 2).nats
+        lhs = evaluate(ArchitectureSpec(FullyConnected(2, 2)), scaled, 1.0, c * 2.5).nats
+        rhs = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5).nats
         assert abs(lhs - rhs) > 0.1
 
 
 class TestMmiConv:
     def test_hand_value(self):
         block = BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 2)
-        result = mmi_conv(ChannelParams(1.0, 2.5), block, 2)
+        result = evaluate(ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, 2)),
+                          block, 1.0, 2.5)
         assert result.nats == pytest.approx(2.0 * FULL_BUDGET_NATS, abs=1e-12)
 
     def test_single_block_degenerates_to_fc(self):
         block = BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 1)
-        conv = mmi_conv(ChannelParams(1.0, 2.5), block, 2)
-        fc = mmi_fc(ChannelParams(1.0, 2.5), TWO_ONE, 2, 2)
+        conv = evaluate(ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, 2)),
+                        block, 1.0, 2.5)
+        fc = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5)
         assert conv.nats == pytest.approx(fc.nats, abs=1e-14)
 
     def test_zero_budget(self):
         block = BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 2)
-        assert mmi_conv(ChannelParams(1.0, 0.0), block, 2).nats == 0.0
+        assert evaluate(ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, 2)),
+                        block, 1.0, 0.0).nats == 0.0
 
     def test_additivity_exact(self):
         rng = np.random.default_rng(13)
@@ -188,10 +197,12 @@ class TestMmiConv:
             block = BlockCovariance(CovarianceMatrix(b @ b.T + 0.2 * np.eye(dim)), reps)
             filters = int(rng.integers(1, 5))
             budget = float(rng.uniform(0.0, 5.0))
-            conv = mmi_conv(ChannelParams(1.0, budget), block, filters)
+            conv = evaluate(
+                ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, filters)),
+                block, 1.0, budget)
             from mmicap import eigvals_from_covariance
-            fc = mmi_fc(ChannelParams(1.0, budget),
-                        eigvals_from_covariance(block.block), dim, filters)
+            fc = evaluate(ArchitectureSpec(FullyConnected(dim, filters)),
+                          eigvals_from_covariance(block.block), 1.0, budget)
             assert conv.nats == reps * fc.nats  # exact, same expression scaled
 
 
@@ -199,16 +210,16 @@ class TestMmiMultilayer:
     def test_bottleneck_rule(self):
         rng = np.random.default_rng(14)
         spec = random_spectrum(rng, 100, lo=0.1, hi=10.0)
-        stacked = mmi_multilayer(ChannelParams(1.0, 4.0), spec, [50, 3, 50])
-        dense = mmi_fc(ChannelParams(1.0, 4.0), spec, 100, 3)
+        stacked = evaluate(ArchitectureSpec(MultiLayer((50, 3, 50))), spec, 1.0, 4.0)
+        dense = evaluate(ArchitectureSpec(FullyConnected(100, 3)), spec, 1.0, 4.0)
         assert stacked.nats == dense.nats
 
     def test_single_layer_reduces_to_fc(self):
-        result = mmi_multilayer(ChannelParams(1.0, 2.5), TWO_ONE, [2])
+        result = evaluate(ArchitectureSpec(MultiLayer((2,))), TWO_ONE, 1.0, 2.5)
         assert result.nats == pytest.approx(FULL_BUDGET_NATS, abs=1e-12)
 
     def test_width_one_bottleneck(self):
-        result = mmi_multilayer(ChannelParams(1.0, 0.25), TWO_ONE, [1, 100])
+        result = evaluate(ArchitectureSpec(MultiLayer((1, 100))), TWO_ONE, 1.0, 0.25)
         assert result.nats == pytest.approx(SMALL_BUDGET_NATS, abs=1e-12)
 
     def test_collapse_exact(self):
@@ -218,8 +229,8 @@ class TestMmiMultilayer:
             spec = random_spectrum(rng, size, lo=0.2, hi=5.0)
             widths = list(rng.integers(1, 12, size=int(rng.integers(1, 5))))
             budget = float(rng.uniform(0.0, 6.0))
-            stacked = mmi_multilayer(ChannelParams(1.0, budget), spec, widths)
-            dense = mmi_fc(ChannelParams(1.0, budget), spec, size, min(widths))
+            stacked = evaluate(ArchitectureSpec(MultiLayer(tuple(widths))), spec, 1.0, budget)
+            dense = evaluate(ArchitectureSpec(FullyConnected(size, min(widths))), spec, 1.0, budget)
             assert stacked.nats == dense.nats
 
 
@@ -509,8 +520,9 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: FullyConnected(2, "2"), DimensionMismatch),
     (lambda: Convolutional(4, 2, 2.0), DimensionMismatch),
     (lambda: MultiLayer((2, 2.5)), DimensionMismatch),
-    (lambda: ChannelParams(True, 1.0), ConfigError),
-    (lambda: ChannelParams(1.0, -1.0), NegativeBudget),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, True, 1.0), ConfigError),
+    (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, -1.0),
+     NegativeBudget),
     (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, math.nan, 1.0),
      ConfigError),
     (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, "1", 1.0), ConfigError),

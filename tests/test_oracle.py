@@ -9,11 +9,13 @@ import pytest
 
 import mmicap
 from mmicap import (
+    ArchitectureSpec,
     BlockCovariance,
-    ChannelParams,
     ConfigError,
+    Convolutional,
     CovarianceMatrix,
     DimensionMismatch,
+    FullyConnected,
     InfeasibleFactorization,
     MmicapError,
     NegativeBudget,
@@ -24,13 +26,12 @@ from mmicap import (
     build_optimal_weights,
     decompose_covariance,
     eigvals_from_covariance,
+    evaluate,
     exact_linear_mi,
     factor_check_multilayer,
     maximize_mi,
     maximize_mi_conv,
     mi_gradient,
-    mmi_conv,
-    mmi_fc,
     tile_filter,
 )
 from mmicap import oracle
@@ -130,7 +131,8 @@ class TestBuildOptimalWeights:
             noise_var = float(rng.choice([0.1, 1.0, 10.0]))
             budget = float(rng.uniform(0.0, 10.0))
             w = build_optimal_weights(budget, dec, noise_var, n1)
-            closed = mmi_fc(ChannelParams(noise_var, budget), dec.spectrum, n0, n1)
+            closed = evaluate(ArchitectureSpec(FullyConnected(n0, n1)),
+                              dec.spectrum, noise_var, budget)
             achieved = exact_linear_mi(w, cov, noise_var)
             assert abs(achieved - closed.nats) <= 1e-9
             assert abs(w.frobenius_sq - budget) <= 1e-12 * max(budget, 1e-12)
@@ -144,7 +146,8 @@ class TestMaximizeMi:
 
     def test_diagonal_instance(self):
         cov = CovarianceMatrix(np.diag([4.0, 2.0, 1.0]))
-        closed = mmi_fc(ChannelParams(1.0, 5.0), eigvals_from_covariance(cov), 3, 2)
+        closed = evaluate(ArchitectureSpec(FullyConnected(3, 2)),
+                          eigvals_from_covariance(cov), 1.0, 5.0)
         result = maximize_mi(5.0, cov, 1.0, 2, OptimizerConfig(seed=2))
         assert abs(closed.nats - result.nats) <= 1e-4
         assert result.nats <= closed.nats + 1e-9
@@ -179,8 +182,8 @@ class TestMaximizeMi:
             cov = random_cov(rng, n0)
             noise_var = float(rng.choice([0.1, 1.0, 10.0]))
             budget = float(rng.uniform(0.1, 8.0))
-            closed = mmi_fc(ChannelParams(noise_var, budget),
-                            eigvals_from_covariance(cov), n0, n1)
+            closed = evaluate(ArchitectureSpec(FullyConnected(n0, n1)),
+                              eigvals_from_covariance(cov), noise_var, budget)
             for _ in range(5):
                 w = random_weights_on_sphere(rng, n1, n0, budget)
                 assert exact_linear_mi(w, cov, noise_var) <= closed.nats + 1e-9
@@ -223,7 +226,8 @@ class TestMaximizeMiConv:
         tiled = WeightMatrix(tile_filter(result.weights.entries, 3))
         assert exact_linear_mi(tiled, block.expand(), 1.0) == pytest.approx(
             result.nats, abs=1e-12)
-        closed = mmi_conv(ChannelParams(1.0, 2.0), block, 2)
+        closed = evaluate(ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, 2)),
+                          block, 1.0, 2.0)
         assert result.nats <= closed.nats + 1e-9
 
 
@@ -376,8 +380,9 @@ class TestTrustRegionGates:
             result = maximize_mi_conv(budget, block, 2, 1.0,
                                       OptimizerConfig(restarts=4, seed=i))
             assert result.converged
-            worst = max(worst, mmi_conv(ChannelParams(1.0, budget), block, 2).nats
-                        - result.nats)
+            worst = max(worst, evaluate(
+                ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, 2)),
+                block, 1.0, budget).nats - result.nats)
         assert len(runs) == 400 and max(runs) <= 50
         assert worst <= 1e-12
 
@@ -397,7 +402,8 @@ class TestTrustRegionGates:
             result = maximize_mi(budget, cov, 1.0, hidden_dim,
                                  OptimizerConfig(restarts=4, seed=i))
             assert result.converged
-            closed = mmi_fc(ChannelParams(1.0, budget), spectrum, input_dim, hidden_dim)
+            closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
+                              spectrum, 1.0, budget)
             worst = max(worst, abs(closed.nats - result.nats))
         assert max(runs) <= 50
         assert worst <= 1e-11
@@ -415,7 +421,7 @@ class TestTrustRegionGates:
                            * (1.0 - 10.0 ** rng.uniform(-6, -2)))
             result = maximize_mi(budget, cov, 1.0, 2, OptimizerConfig(restarts=2, seed=i))
             assert result.converged
-            closed = mmi_fc(ChannelParams(1.0, budget), spectrum, 3, 2).nats
+            closed = evaluate(ArchitectureSpec(FullyConnected(3, 2)), spectrum, 1.0, budget).nats
             assert abs(closed - result.nats) <= 1e-11
         assert max(runs) <= 50
 
@@ -514,12 +520,19 @@ EYE = WeightMatrix(np.eye(2))
     (lambda: OptimizerConfig(seed=-1), ConfigError),
     (lambda: WeightMatrix([[3.0, 4.0]], frobenius_sq=math.nan), ConfigError),
     (lambda: WeightMatrix([[math.nan, 4.0]]), ConfigError),
+    (lambda: WeightMatrix([["3", "4"]]), ConfigError),
+    (lambda: WeightMatrix([[True, 4.0]]), ConfigError),
+    (lambda: mi_gradient(EYE, CovarianceMatrix(np.eye(2)), math.nan), ConfigError),
+    (lambda: mi_gradient(EYE, CovarianceMatrix(np.eye(2)), True), ConfigError),
+    (lambda: mi_gradient(EYE, CovarianceMatrix(np.eye(3)), 1.0), DimensionMismatch),
+    (lambda: exact_linear_mi(EYE, CovarianceMatrix(np.eye(3)), 1.0), DimensionMismatch),
 ], ids=["negative-noise", "nan-noise", "nan-budget", "inf-budget", "negative-budget",
         "array-budget", "float-hidden-dim", "conv-nan-noise", "zero-filters", "float-filters",
         "exact-nan-noise", "exact-inf-noise", "exact-negative-noise", "weights-float-hidden",
         "weights-nan-noise", "float-width", "no-widths", "nan-step", "bool-tolerance",
         "float-max-iters", "zero-restarts", "negative-seed", "nan-declared-norm",
-        "nan-weights"])
+        "nan-weights", "string-weights", "bool-weights", "gradient-nan-noise",
+        "gradient-bool-noise", "gradient-dim-mismatch", "exact-dim-mismatch"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(MmicapError) as caught:
         call()
@@ -541,9 +554,9 @@ def test_numpy_scalars_give_the_python_number_results():
 
 
 def test_input_policy_lives_in_errors():
-    # every number check goes through errors.positive and errors.budgets: no
-    # module raises an untyped ValueError or TypeError, and only errors.py
-    # tests for the numeric ABCs
+    # every number check goes through errors.positive, errors.finite and
+    # errors.budgets: no module raises an untyped ValueError or TypeError, and
+    # only errors.py tests for the numeric ABCs
     for path in sorted(Path(mmicap.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:

@@ -331,11 +331,19 @@ def write_file(directory, name, text):
     (lambda tmp: solve_waterfill(math.inf, model_spectrum("harmonic", 2), 1.0, 2),
      NegativeBudget),
     (lambda tmp: sample_gaussian_inputs(CovarianceMatrix(np.eye(2)), 2.5, 0), ConfigError),
+    (lambda tmp: model_spectrum("explicit", values=["2", "1"]), ConfigError),
+    (lambda tmp: model_spectrum("explicit", values=[True, 2.0]), ConfigError),
+    (lambda tmp: model_spectrum("explicit", values=np.array([True, False])), ConfigError),
+    (lambda tmp: model_spectrum("explicit", values=[2.0, math.nan]), ConfigError),
+    (lambda tmp: model_spectrum("explicit", values=[10**400, 1]), ConfigError),
+    (lambda tmp: CovarianceMatrix([["1", "0"], ["0", "1"]]), ConfigError),
 ], ids=["empty-spectrum", "2d-spectrum", "non-square-covariance", "non-finite-covariance",
         "explicit-without-values", "explicit-length-mismatch", "empty-covariance-csv",
         "infinite-covariance", "ascending-spectrum", "float-length", "numpy-bool-length",
         "nan-rate", "float-repetitions", "bool-repetitions", "nan-noise", "inf-noise",
-        "string-noise", "float-component-count", "inf-budget", "float-sample-count"])
+        "string-noise", "float-component-count", "inf-budget", "float-sample-count",
+        "string-values", "bool-values", "bool-array-values", "nan-values", "huge-int-values",
+        "string-covariance"])
 def test_rejects_malformed_input(tmp_path, call, error):
     with pytest.raises(error):
         call(tmp_path)
@@ -346,7 +354,10 @@ def test_rejects_malformed_input(tmp_path, call, error):
     {"kind": "explicit", "values": "abc"},
     {"kind": "harmonic", "n": True},
     {"kind": "harmonic", "n": 2.0},
-], ids=["string-rate", "string-values", "bool-length", "float-length"])
+    {"kind": "explicit", "values": ["2", "1"]},
+    {"kind": "explicit", "values": [True, 2.0]},
+], ids=["string-rate", "string-values", "bool-length", "float-length", "string-list-values",
+        "bool-list-values"])
 def test_spectrum_json_rejects_what_the_cli_rejects(tmp_path, doc):
     with pytest.raises(ConfigError):
         load_spectrum_json(write_file(tmp_path, "spec.json", json.dumps(doc)))
