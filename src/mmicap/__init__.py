@@ -41,7 +41,6 @@ from .mmi import (
     MultiLayer,
     evaluate,
     invert_mmi,
-    mmi_approx_large_n,
     mmi_curve,
     mmi_formula,
 )
@@ -54,7 +53,6 @@ from .oracle import (
     factor_check_multilayer,
     maximize_mi,
     maximize_mi_conv,
-    mi_gradient,
     tile_filter,
 )
 from .spectrum import (
@@ -65,14 +63,12 @@ from .spectrum import (
     decompose_covariance,
     eigvals_from_covariance,
     load_covariance_csv,
-    load_spectrum_json,
     model_spectrum,
 )
 from .verify import delta_bound, g_bound, run_verification, verify_relu_theorem
 from .waterfill import (
     Breakpoints,
     WaterfillSolution,
-    breakpoint_value,
     breakpoints,
     regime,
     solve_waterfill,

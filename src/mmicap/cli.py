@@ -226,21 +226,6 @@ def _build_grid(spec) -> np.ndarray:
     return np.array(_check(spec, "F_grid", [float]), dtype=np.float64)
 
 
-def parse_arch(text: str) -> ArchitectureSpec:
-    """fc:N0,N1 | conv:N0,NB,Nf | mlp:w1,w2,..."""
-    return _build_arch(_arch_doc(text))
-
-
-def parse_spectrum(text: str, arch: ArchitectureSpec):
-    """exp:rate | harmonic | file:PATH | list:v1,v2,... -> Spectrum source."""
-    return _build_source(_spectrum_doc(text), arch)
-
-
-def parse_grid(text: str) -> np.ndarray:
-    """lo:hi:n ascending budget grid."""
-    return _build_grid(_grid_doc(text))
-
-
 class RunConfig:
     """The settings every mmi, curve and breakpoints run reads.  The budget
     entries and ``units`` are checked by the commands that read them, so an

@@ -1,7 +1,7 @@
 """Exception types, and the one input policy: every public entry point checks
-its numbers through ``positive``, ``finite`` and ``budgets`` (the README lists
-the rule for each input); bools and strings are not numbers to any of them.
-``ConfigError`` is also a ``ValueError``."""
+its numbers through ``positive``, ``real``, ``finite`` and ``budgets`` (the
+README lists the rule for each input); bools and strings are not numbers to
+any of them.  ``ConfigError`` is also a ``ValueError``."""
 
 import numbers
 import operator
@@ -50,7 +50,7 @@ class NumericalUnderflow(MmicapError):
 
 
 class NumericalOverflow(MmicapError):
-    """A prefix sum or breakpoint a query reads passes the double range."""
+    """A breakpoint a query reads passes the double range."""
 
 
 class DeltaOutOfRange(MmicapError):
@@ -80,9 +80,10 @@ def positive(value, name: str, *, integer: bool = False, least: int = 1,
     return number
 
 
-def finite(value, name: str):
-    """``value``, a number or an array or sequence of them, as a float or a
-    float64 array; raises ``ConfigError`` unless each is a finite real number."""
+def real(value, name: str) -> np.ndarray:
+    """``value``, a number or an array or sequence of them, as a float64 array;
+    raises ``ConfigError`` unless each is a real number.  A numeric array is
+    taken by its dtype, with no per-element test."""
     arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
     ok = arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat)
@@ -90,8 +91,18 @@ def finite(value, name: str):
         arr = arr.astype(np.float64, copy=False) if ok else arr
     except OverflowError:  # a Python int past the doubles
         ok = False
-    if not (ok and np.all(np.isfinite(arr))):
+    if not ok:
         got = f", got {value!r}" if arr.ndim == 0 else ""  # an array may be large
+        raise ConfigError(f"{name} must be real{got}")
+    return arr
+
+
+def finite(value, name: str):
+    """``value``, a number or an array or sequence of them, as a float or a
+    float64 array; raises ``ConfigError`` unless each is a finite real number."""
+    arr = real(value, name)
+    if not np.all(np.isfinite(arr)):
+        got = f", got {value!r}" if arr.ndim == 0 else ""
         raise ConfigError(f"{name} must be real and finite{got}")
     return float(arr) if arr.ndim == 0 else arr
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow, positive
+from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow, finite, positive
 from .spectrum import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -76,7 +76,7 @@ class ChannelModel:
     activation: str = "linear"
 
     def __post_init__(self) -> None:
-        bias = np.asarray(self.bias, dtype=np.float64)
+        bias = np.asarray(finite(self.bias, "bias"))
         if bias.ndim != 1 or bias.size != self.weights.hidden_dim:
             raise ConfigError(
                 f"bias must have length {self.weights.hidden_dim}, got shape {bias.shape}")

@@ -171,18 +171,6 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     return MmiResult(nats, excluded, bp, active)
 
 
-def mmi_approx_large_n(spectrum: Spectrum, n_tilde: int) -> float:
-    """Budget-free approximation for wide bottlenecks.
-
-    Half the sum of log(lambda_i * r) over the leading n_tilde components,
-    with r the mean reciprocal eigenvalue of those components.  This is the
-    full-active-set branch with the budget term dropped; the error against
-    that branch is (n_tilde/2) * log(1 + F / (noise_var * T)).
-    """
-    mean_reciprocal = spectrum.inverse_trace(n_tilde) / n_tilde
-    return float(0.5 * np.sum(np.log(spectrum.values[:n_tilde] * mean_reciprocal)))
-
-
 def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
               budget_grid) -> list[tuple[float, MmiResult]]:
     """Pointwise capacity along an ascending budget grid."""

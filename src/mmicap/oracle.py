@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, InfeasibleFactorization, MmicapError,
-                     budgets, finite, positive)
+from .errors import (DimensionMismatch, InfeasibleFactorization, MmicapError, budgets, finite,
+                     positive)
 from .mmi import MultiLayer
 from .spectrum import (
     BlockCovariance,
@@ -38,21 +38,14 @@ class WeightMatrix:
     """A hidden_dim x input_dim weight matrix with its cached squared norm."""
 
     entries: np.ndarray
-    frobenius_sq: float | None = None
+    frobenius_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(finite(self.entries, "weights"))
         if a.ndim != 2 or a.size == 0:
             raise DimensionMismatch(f"weights must be a 2-D matrix, got shape {a.shape}")
-        fro = float(np.sum(a * a))
-        if self.frobenius_sq is not None:
-            gap = abs(self.frobenius_sq - fro)
-            if not gap <= 1e-12 * max(fro, 1e-300):
-                raise ConfigError(
-                    f"declared squared norm {self.frobenius_sq} is off by {gap}")
-            fro = float(self.frobenius_sq)
         object.__setattr__(self, "entries", _frozen_array(a))
-        object.__setattr__(self, "frobenius_sq", fro)
+        object.__setattr__(self, "frobenius_sq", float(np.sum(a * a)))
 
     @property
     def hidden_dim(self) -> int:
@@ -113,34 +106,22 @@ def _mi_value(w: np.ndarray, cov: np.ndarray, noise_var: float):
     return factor, nats
 
 
-def _checked_mi_value(weights: WeightMatrix, cov: CovarianceMatrix, noise_var: float):
-    """``_mi_value`` behind the checks of the public MI entry points."""
-    noise_var = positive(noise_var, "noise_var")
-    if weights.input_dim != cov.dim:
-        raise DimensionMismatch(
-            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")
-    return _mi_value(weights.entries, cov.entries, noise_var)
-
-
 def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
                     noise_var: float) -> float:
     """Exact mutual information of the linear Gaussian channel, in nats.
 
     (1/2) log det(Id + W Cov W^T / noise_var); independent of any bias.
     """
-    return _checked_mi_value(weights, cov, noise_var)[1]
+    noise_var = positive(noise_var, "noise_var")
+    if weights.input_dim != cov.dim:
+        raise DimensionMismatch(
+            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")
+    return _mi_value(weights.entries, cov.entries, noise_var)[1]
 
 
 def _gradient(w: np.ndarray, factor, cov: np.ndarray, noise_var: float) -> np.ndarray:
     """(Id + W C W^T / s)^{-1} W C / s, given the Cholesky factor from _mi_value."""
     return np.linalg.solve(factor.T, np.linalg.solve(factor, w @ cov)) / noise_var
-
-
-def mi_gradient(weights: WeightMatrix, cov: CovarianceMatrix,
-                noise_var: float) -> np.ndarray:
-    """Gradient of exact_linear_mi with respect to the weight entries."""
-    factor, _ = _checked_mi_value(weights, cov, noise_var)
-    return _gradient(weights.entries, factor, cov.entries, noise_var)
 
 
 def build_optimal_weights(budget: float, decomposition: SpectralDecomposition,

@@ -9,7 +9,6 @@ spectrum models used by the curve presets, and the file loaders.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,9 +22,9 @@ from .errors import (
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
-    NumericalOverflow,
     finite,
     positive,
+    real,
 )
 
 # Reject covariances whose smallest eigenvalue falls below this fraction of
@@ -54,8 +53,8 @@ class Spectrum:
     largest eigenvalue).  Everything held on a spectrum is read-only:
 
     - at construction, the prefix sums that every closed-form branch reads:
-      of 1/lambda (held also as their logs, which stay finite past the double
-      range) and of log lambda;
+      the logs of the prefix sums of 1/lambda, which stay finite past the
+      double range, and the prefix sums of log lambda;
     - on first use, the capacities at the breakpoints, which only budget
       inversion reads;
     - the water-filling state (floors and breakpoints) of the last
@@ -67,13 +66,12 @@ class Spectrum:
     """
 
     values: np.ndarray
-    _inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _log_inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _log_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _waterfill: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = real(self.values, "eigenvalues")
         if vals.ndim != 1 or vals.size == 0:
             raise DimensionMismatch("spectrum must be a non-empty 1-D array")
         with np.errstate(divide="ignore", over="ignore"):
@@ -89,19 +87,17 @@ class Spectrum:
         object.__setattr__(self, "values", _frozen_array(vals))
         # A running sum adds up to n * eps of rounding; accumulating in extended
         # precision (where the platform has it) keeps each prefix correctly rounded.
-        # A 1/lambda prefix past the double range is stored as inf, which
-        # ``inverse_trace`` refuses to return; its log stays finite, continued
-        # past the last finite sum as a running log-sum-exp.
+        # A 1/lambda prefix past the double range rounds to inf; its log stays
+        # finite, continued past the last finite sum as a running log-sum-exp.
         logs = np.log(vals)
-        with np.errstate(over="ignore"):
-            inverse_prefix = _frozen_array(np.cumsum(inverse, dtype=np.longdouble))
+        with np.errstate(over="ignore"):  # rounded to float64, so the logs are float64
+            inverse_prefix = np.cumsum(inverse, dtype=np.longdouble).astype(np.float64)
         log_inverse_prefix = np.log(inverse_prefix)
         if not math.isfinite(inverse_prefix[-1]):
             first = int(np.argmin(np.isfinite(inverse_prefix)))
             log_inverse_prefix[first - 1:] = np.logaddexp.accumulate(
                 np.append(log_inverse_prefix[first - 1], -logs[first:]))
         log_inverse_prefix.flags.writeable = False
-        object.__setattr__(self, "_inverse_prefix", inverse_prefix)
         object.__setattr__(self, "_log_inverse_prefix", log_inverse_prefix)
         object.__setattr__(self, "_log_prefix",
                            _frozen_array(np.cumsum(logs, dtype=np.longdouble)))
@@ -116,21 +112,9 @@ class Spectrum:
         out = sums[counts - 1]
         return float(out) if out.ndim == 0 else out
 
-    def inverse_trace(self, count):
-        """Sum of 1 / lambda over the leading ``count`` entries (elementwise).
-
-        Raises NumericalOverflow when a requested sum passes the double range.
-        """
-        out = self._prefix(self._inverse_prefix, count)
-        if not math.isfinite(self._inverse_prefix[-1]) and not np.all(np.isfinite(out)):
-            first = int(np.argmin(np.isfinite(self._inverse_prefix))) + 1
-            raise NumericalOverflow(
-                f"the sum of 1/eigenvalue passes the double range at eigenvalue {first} "
-                f"of {len(self)}; capacities that read it cannot be evaluated")
-        return out
-
     def log_inverse_trace(self, count):
-        """log of ``inverse_trace(count)``, finite even where that sum is not."""
+        """log of the sum of 1 / lambda over the leading ``count`` entries
+        (elementwise), finite even where that sum passes the double range."""
         return self._prefix(self._log_inverse_prefix, count)
 
     def log_det(self, count):
@@ -289,16 +273,3 @@ def load_covariance_csv(path) -> CovarianceMatrix:
         raise ConfigError(f"{path}: covariance grid is not square")
     return CovarianceMatrix(np.asarray(rows))
 
-
-def load_spectrum_json(path) -> Spectrum:
-    """Read a spectrum document: {"kind": ..., "rate": ..., "n": ..., "values": ...}."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(f"{path}: spectrum document must be an object with a 'kind' field")
-    return model_spectrum(
-        doc["kind"], doc.get("n"), rate=doc.get("rate"), values=doc.get("values")
-    )

@@ -112,11 +112,6 @@ def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoin
     return _waterfill_state(spectrum, noise_var, n_tilde)[1]
 
 
-def breakpoint_value(spectrum: Spectrum, noise_var: float, k: int) -> float:
-    """The budget at which component ``k`` (1-based) enters the active set."""
-    return float(breakpoints(spectrum, noise_var, k).finite()[-1])
-
-
 def regime(budget, bp: Breakpoints):
     """Number of trailing components excluded from the active set.
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmicap.cli import main, parse_arch, parse_grid, parse_spectrum
+from mmicap.cli import main
 
 
 def run_cli(args, capsys):
@@ -30,33 +30,44 @@ def parse_json(out):
 
 
 class TestParsing:
-    def test_arch_forms(self):
-        from mmicap import Convolutional, FullyConnected, MultiLayer
-        assert isinstance(parse_arch("fc:100,50").family, FullyConnected)
-        conv = parse_arch("conv:6,3,2").family
-        assert isinstance(conv, Convolutional) and conv.repetitions == 2
-        mlp = parse_arch("mlp:5,3,7").family
-        assert isinstance(mlp, MultiLayer) and mlp.widths == (5, 3, 7)
+    def test_arch_forms(self, capsys):
+        def row(arch, spectrum):
+            code, out, _ = run_cli(["mmi", "--arch", arch, "--spectrum", spectrum,
+                                    "--F", "2.5"], capsys)
+            assert code == 0
+            return parse_json(out)["rows"][0]
+        assert row("fc:100,50", "harmonic")["bottleneck"] == 50
+        # conv:6,3,2 is two repetitions of a 3-input block read by 2 filters
+        conv, block = row("conv:6,3,2", "list:3,2,1"), row("fc:3,2", "list:3,2,1")
+        assert conv["bottleneck"] == 2
+        assert conv["mmi"] == pytest.approx(2.0 * block["mmi"], rel=1e-8)
+        assert row("mlp:5,3,7", "list:5,4,3,2,1")["bottleneck"] == 3
 
-    def test_arch_errors(self):
-        from mmicap import ConfigError
-        with pytest.raises(ConfigError):
-            parse_arch("fc:100")
-        with pytest.raises(ConfigError):
-            parse_arch("rnn:4,4")
+    def test_arch_errors(self, capsys):
+        for arch in ("fc:100", "rnn:4,4"):
+            code, _, err = run_cli(["mmi", "--arch", arch, "--spectrum", "harmonic",
+                                    "--F", "1"], capsys)
+            assert code == 2 and err.startswith("error: --arch")
 
-    def test_grid(self):
-        grid = parse_grid("0:10:5")
-        np.testing.assert_allclose(grid, [0.0, 2.5, 5.0, 7.5, 10.0])
+    def test_grid(self, capsys):
+        code, out, _ = run_cli(["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1",
+                                "--F-grid", "0:10:5"], capsys)
+        assert code == 0
+        np.testing.assert_allclose([row["F"] for row in parse_json(out)["rows"]],
+                                   [0.0, 2.5, 5.0, 7.5, 10.0])
 
-    def test_spectrum_list(self):
-        spec = parse_spectrum("list:1,3,2", parse_arch("fc:3,2"))
-        np.testing.assert_array_equal(spec.values, [3.0, 2.0, 1.0])
+    def test_spectrum_list(self, capsys):
+        # list: values are sorted descending, so either order gives the same run
+        runs = [run_cli(["breakpoints", "--arch", "fc:3,3", "--spectrum", spectrum], capsys)
+                for spectrum in ("list:1,3,2", "list:3,2,1")]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert [row["breakpoint"] for row in parse_json(runs[0][1])["rows"]] == \
+            pytest.approx([0.0, 1.0 / 6.0, 7.0 / 6.0], abs=1e-8)
 
-    def test_model_spectrum_needs_dim_for_mlp(self):
-        from mmicap import ConfigError
-        with pytest.raises(ConfigError):
-            parse_spectrum("exp:0.1", parse_arch("mlp:4,2"))
+    def test_model_spectrum_needs_dim_for_mlp(self, capsys):
+        code, _, err = run_cli(["mmi", "--arch", "mlp:4,2", "--spectrum", "exp:0.1",
+                                "--F", "1"], capsys)
+        assert code == 2 and "length 'n'" in err
 
 
 class TestCmdMmi:

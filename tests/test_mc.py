@@ -116,6 +116,14 @@ class TestInputChecks:
         with pytest.raises(ConfigError, match="noise_var"):
             linear_channel(WeightMatrix(np.eye(2)), np.zeros(2), noise_var)
 
+    @pytest.mark.parametrize("bias", [
+        ["0", "nan"], ["0", "1"], [0.0, math.nan], [0.0, math.inf], [True, 0.0],
+        np.array([True, False]),
+    ], ids=["string-nan", "string", "nan", "inf", "bool", "bool-array"])
+    def test_bias_must_be_real_and_finite(self, bias):
+        with pytest.raises(ConfigError, match="bias"):
+            linear_channel(WeightMatrix(np.eye(2)), bias, 1.0)
+
     @pytest.mark.parametrize("noise_var", [np.float64(0.5), 2, np.int64(3)])
     def test_noise_var_accepts_real_numbers(self, noise_var):
         assert relu_channel(WeightMatrix(np.eye(2)), np.zeros(2), noise_var).noise_var == noise_var

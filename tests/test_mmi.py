@@ -20,7 +20,6 @@ from mmicap import (
     breakpoints,
     evaluate,
     invert_mmi,
-    mmi_approx_large_n,
     mmi_curve,
     mmi_formula,
     model_spectrum,
@@ -232,28 +231,6 @@ class TestMmiMultilayer:
             stacked = evaluate(ArchitectureSpec(MultiLayer(tuple(widths))), spec, 1.0, budget)
             dense = evaluate(ArchitectureSpec(FullyConnected(size, min(widths))), spec, 1.0, budget)
             assert stacked.nats == dense.nats
-
-
-class TestApproximation:
-    def test_isotropic_is_zero(self):
-        spec = model_spectrum("explicit", values=[3.0] * 6)
-        assert abs(mmi_approx_large_n(spec, 6)) <= 1e-12
-
-    def test_two_component_hand_value(self):
-        assert mmi_approx_large_n(TWO_ONE, 2) == pytest.approx(
-            0.5 * math.log(1.125), abs=1e-14)
-
-    def test_tracks_full_active_branch(self):
-        # the approximation is the all-components branch with the budget
-        # term dropped; its error against that branch has a closed form
-        spec = model_spectrum("exp_decay", 100, rate=0.1)
-        budget, noise_var, n = 1.0, 1.0, 100
-        branch = mmi_formula(spec, noise_var, budget, n)
-        approx = mmi_approx_large_n(spec, n)
-        predicted_error = 0.5 * n * math.log1p(
-            budget / (noise_var * spec.inverse_trace(n)))
-        assert abs(branch - approx) <= 0.25
-        assert abs((branch - approx) - predicted_error) <= 1e-9
 
 
 class TestCurveAndInversion:

@@ -9,30 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmicap import (
+    ArchitectureSpec,
     BlockCovariance,
     Breakpoints,
     ConfigError,
     CovarianceMatrix,
     DimensionMismatch,
+    FullyConnected,
     IndexOutOfRange,
     NegativeBudget,
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
-    NumericalOverflow,
     Spectrum,
     WaterfillSolution,
     WeightMatrix,
     breakpoints,
     decompose_covariance,
     eigvals_from_covariance,
+    evaluate,
     linear_channel,
     load_covariance_csv,
-    load_spectrum_json,
     model_spectrum,
     sample_gaussian_inputs,
     solve_waterfill,
 )
+from mmicap.cli import main
 
 # Any overflow in a prefix sum fails loudly instead of warning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -213,22 +215,25 @@ class TestSpectrumInvariants:
 
     def test_prefix_sums(self):
         spec = model_spectrum("explicit", values=[4.0, 2.0, 1.0])
-        assert spec.inverse_trace(2) == 0.25 + 0.5
+        assert spec.log_inverse_trace(2) == np.log(0.25 + 0.5)
         assert spec.log_det(3) == pytest.approx(math.log(8.0), abs=1e-15)
 
     def test_prefix_sums_take_arrays_of_counts(self):
         n = 20_000
         spec = model_spectrum("harmonic", n)
         counts = np.array([1, 2, 7, 129, 4096, n - 1, n])
-        for lookup, terms in ((spec.inverse_trace, 1.0 / spec.values),
-                              (spec.log_det, np.log(spec.values))):
-            together = lookup(counts)
-            # a running sum in the accumulator's precision, rounded once
-            bound = n * float(np.finfo(np.longdouble).eps) + np.finfo(np.float64).eps
-            for k, value in zip(counts, together):
-                assert value == lookup(int(k))
-                exact = math.fsum(terms[:k])
-                assert abs(value - exact) <= bound * math.fsum(np.abs(terms[:k]))
+        eps = np.finfo(np.float64).eps
+        # a running sum in the accumulator's precision, rounded once
+        bound = n * float(np.finfo(np.longdouble).eps) + eps
+        inverse, logs = 1.0 / spec.values, np.log(spec.values)
+        for k, log_trace, log_det in zip(counts, spec.log_inverse_trace(counts),
+                                         spec.log_det(counts)):
+            assert log_trace == spec.log_inverse_trace(int(k))
+            assert log_det == spec.log_det(int(k))
+            assert abs(log_det - math.fsum(logs[:k])) <= bound * math.fsum(np.abs(logs[:k]))
+            # the log of a sum within ``bound``, rounded here and in the reference
+            exact = math.log(math.fsum(inverse[:k]))
+            assert abs(log_trace - exact) <= bound + 2.0 * eps * abs(exact)
         with pytest.raises(IndexOutOfRange):
             spec.log_det(np.array([1, n + 1]))
 
@@ -282,31 +287,42 @@ class TestLoaders:
         with pytest.raises(ConfigError):
             load_covariance_csv(path)
 
-    def test_spectrum_json_model(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"kind": "exp_decay", "rate": 0.1, "n": 4}))
-        spec = load_spectrum_json(path)
-        np.testing.assert_allclose(spec.values, np.exp(-0.1 * np.arange(4)))
+    # Spectrum documents are read by ``mmicap ... --spectrum file:X.json``.
+    def test_spectrum_json_model(self, tmp_path, capsys):
+        doc = {"kind": "exp_decay", "rate": 0.1, "n": 4}
+        code, out, _ = run_json_spectrum(tmp_path, capsys, json.dumps(doc), "fc:4,4")
+        expected = evaluate(ArchitectureSpec(FullyConnected(4, 4)),
+                            Spectrum(np.exp(-0.1 * np.arange(4))), 1.0, 2.5).nats
+        assert code == 0
+        assert json.loads(out)["rows"][0]["mmi"] == pytest.approx(expected, rel=1e-8)
 
-    def test_spectrum_json_explicit(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"kind": "explicit", "values": [1.0, 2.0]}))
-        np.testing.assert_array_equal(load_spectrum_json(path).values, [2.0, 1.0])
+    def test_spectrum_json_explicit(self, tmp_path, capsys):
+        doc = {"kind": "explicit", "values": [1.0, 2.0]}
+        code, out, _ = run_json_spectrum(tmp_path, capsys, json.dumps(doc), "fc:2,2")
+        expected = evaluate(ArchitectureSpec(FullyConnected(2, 2)), Spectrum([2.0, 1.0]),
+                            1.0, 2.5).nats
+        assert code == 0
+        assert json.loads(out)["rows"][0]["mmi"] == pytest.approx(expected, rel=1e-8)
 
-    def test_spectrum_json_malformed(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text("not json at all{")
-        with pytest.raises(ConfigError):
-            load_spectrum_json(path)
-        path.write_text(json.dumps({"rate": 0.1}))
-        with pytest.raises(ConfigError):
-            load_spectrum_json(path)
+    def test_spectrum_json_malformed(self, tmp_path, capsys):
+        for text in ("not json at all{", json.dumps({"rate": 0.1})):
+            code, out, err = run_json_spectrum(tmp_path, capsys, text, "fc:2,2")
+            assert code == 2 and out == "" and err.startswith("error:")
 
 
 def write_file(directory, name, text):
     path = directory / name
     path.write_text(text)
     return path
+
+
+def run_json_spectrum(directory, capsys, text, arch):
+    """``mmicap mmi --F 2.5`` on ``text`` as a ``file:X.json`` spectrum: the exit
+    code, stdout and stderr."""
+    path = write_file(directory, "spec.json", text)
+    code = main(["mmi", "--arch", arch, "--spectrum", f"file:{path}", "--F", "2.5"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("call, error", [
@@ -337,13 +353,19 @@ def write_file(directory, name, text):
     (lambda tmp: model_spectrum("explicit", values=[2.0, math.nan]), ConfigError),
     (lambda tmp: model_spectrum("explicit", values=[10**400, 1]), ConfigError),
     (lambda tmp: CovarianceMatrix([["1", "0"], ["0", "1"]]), ConfigError),
+    (lambda tmp: Spectrum(["2", "1"]), ConfigError),
+    (lambda tmp: Spectrum([True, 0.5]), ConfigError),
+    (lambda tmp: Spectrum(np.array([True, False])), ConfigError),
+    (lambda tmp: Spectrum([2.0, math.nan]), NonPositiveEigenvalue),
+    (lambda tmp: Spectrum([2.0, -1.0]), NonPositiveEigenvalue),
 ], ids=["empty-spectrum", "2d-spectrum", "non-square-covariance", "non-finite-covariance",
         "explicit-without-values", "explicit-length-mismatch", "empty-covariance-csv",
         "infinite-covariance", "ascending-spectrum", "float-length", "numpy-bool-length",
         "nan-rate", "float-repetitions", "bool-repetitions", "nan-noise", "inf-noise",
         "string-noise", "float-component-count", "inf-budget", "float-sample-count",
         "string-values", "bool-values", "bool-array-values", "nan-values", "huge-int-values",
-        "string-covariance"])
+        "string-covariance", "spectrum-string-values", "spectrum-bool-values",
+        "spectrum-bool-array", "spectrum-nan-value", "spectrum-negative-value"])
 def test_rejects_malformed_input(tmp_path, call, error):
     with pytest.raises(error):
         call(tmp_path)
@@ -358,24 +380,14 @@ def test_rejects_malformed_input(tmp_path, call, error):
     {"kind": "explicit", "values": [True, 2.0]},
 ], ids=["string-rate", "string-values", "bool-length", "float-length", "string-list-values",
         "bool-list-values"])
-def test_spectrum_json_rejects_what_the_cli_rejects(tmp_path, doc):
-    with pytest.raises(ConfigError):
-        load_spectrum_json(write_file(tmp_path, "spec.json", json.dumps(doc)))
+def test_spectrum_json_rejects_what_the_cli_rejects(tmp_path, capsys, doc):
+    code, out, err = run_json_spectrum(tmp_path, capsys, json.dumps(doc), "fc:2,2")
+    assert code == 2 and out == "" and err.startswith("error: spectrum.")
 
 
 def test_model_spectrum_takes_numpy_scalars():
     spec = model_spectrum("exp_decay", np.int64(3), rate=np.float32(0.5))
     np.testing.assert_array_equal(spec.values, np.exp(-np.float32(0.5) * np.arange(3.0)))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_inverse_prefix_past_the_double_range_raises_when_read():
-    spectrum = model_spectrum("exp_decay", 7098, rate=0.1)
-    assert math.isfinite(spectrum.inverse_trace(7075))
-    for count in (7076, 7098, np.array([1, 7098])):
-        with pytest.raises(NumericalOverflow, match="eigenvalue 7076 of 7098"):
-            spectrum.inverse_trace(count)
-    assert math.isfinite(spectrum.log_det(7098))
 
 
 class TestBreakpointCapacities:
@@ -417,7 +429,7 @@ def test_log_inverse_trace_stays_finite_past_the_double_range():
                 for n in counts]
     np.testing.assert_allclose(spectrum.log_inverse_trace(counts), expected,
                                rtol=1e-14, atol=0.0)
-    assert spectrum.log_inverse_trace(7075) == math.log(spectrum.inverse_trace(7075))
+    assert math.isfinite(spectrum.log_det(7098))
 
 
 @pytest.mark.parametrize("build", [

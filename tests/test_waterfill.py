@@ -27,7 +27,6 @@ from mmicap import (
     decompose_covariance,
     evaluate,
     invert_mmi,
-    breakpoint_value,
     breakpoints,
     mmi_curve,
     model_spectrum,
@@ -67,24 +66,27 @@ def random_spectrum(rng, size):
 
 
 class TestBreakpointValue:
+    """The budget at which component k enters: the last of the first k breakpoints."""
+
     def test_first_is_zero(self):
-        assert breakpoint_value(model_spectrum("explicit", values=[1.0]), 1.0, 1) == 0.0
+        spec = model_spectrum("explicit", values=[1.0])
+        assert breakpoints(spec, 1.0, 1).finite()[-1] == 0.0
 
     def test_two_components(self):
         spec = model_spectrum("explicit", values=[2.0, 1.0])
-        assert breakpoint_value(spec, 1.0, 2) == pytest.approx(0.5, abs=1e-15)
+        assert breakpoints(spec, 1.0, 2).finite()[-1] == pytest.approx(0.5, abs=1e-15)
 
     def test_isotropic_all_zero(self):
         spec = model_spectrum("explicit", values=[3.0] * 5)
         for k in range(1, 6):
-            assert breakpoint_value(spec, 1.0, k) == 0.0
+            assert breakpoints(spec, 1.0, k).finite()[-1] == 0.0
 
     def test_index_out_of_range(self):
         spec = model_spectrum("explicit", values=[2.0, 1.0])
         with pytest.raises(IndexOutOfRange):
-            breakpoint_value(spec, 1.0, 3)
+            breakpoints(spec, 1.0, 3).finite()[-1]
         with pytest.raises(IndexOutOfRange):
-            breakpoint_value(spec, 1.0, 0)
+            breakpoints(spec, 1.0, 0).finite()[-1]
 
 
 class TestBreakpoints:
@@ -311,8 +313,8 @@ def test_breakpoints_past_the_double_range_are_held_not_read():
     with pytest.raises(NumericalOverflow, match="breakpoint 7011 of 7098"):
         bp.finite()
     with pytest.raises(NumericalOverflow, match="breakpoint 7011 of 7098"):
-        breakpoint_value(spectrum, 1.0, 7098)
-    assert breakpoint_value(spectrum, 1.0, 7010) == bp.values[7009]
+        breakpoints(spectrum, 1.0, 7098).finite()[-1]
+    assert breakpoints(spectrum, 1.0, 7010).finite()[-1] == bp.values[7009]
     np.testing.assert_array_equal(breakpoints(spectrum, 1.0, 7010).finite(), bp.values[:7010])
     # the regime lookup and the allocation read only breakpoints at or below the budget
     assert regime(np.finfo(float).max, bp) == 7098 - 7010
