@@ -157,9 +157,9 @@ def _flag_doc(args: argparse.Namespace) -> dict:
 
 def _load_json(path: str, flag: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or malformed JSON
         raise ConfigError(f"{flag} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{flag} {path}: document must be a JSON object")

@@ -1,14 +1,16 @@
 """Closed-form maximum mutual information of Gaussian-input architectures.
 
-For a linear map with isotropic Gaussian output noise, the capacity under a
-squared-Frobenius weight budget F is, with m components active,
+For a linear map with isotropic Gaussian output noise of variance s, the
+capacity under a squared-Frobenius weight budget F is a water-filling over
+the input eigenvalues lambda_1 >= lambda_2 >= ...  With m components active,
+F lies between the breakpoints rho_m and rho_{m+1}, and
 
-    MMI = (m/2) log((F + s * T_m) / (s * m)) + (1/2) sum_{i<=m} log lambda_i
+    MMI = c_m + (m/2) log1p((F - rho_m) lambda_m / (m s))
 
-where s is the noise variance and T_m the sum of the leading m reciprocal
-eigenvalues.  The active-set size m follows from the breakpoint sequence.
-Convolutional and multilayer families reduce to this same expression.
-All values are in nats.
+where c_m = (1/2) sum_{i<=m} log(lambda_i / lambda_m) is the capacity at
+rho_m.  Evaluation and inversion both use this one expression, read from the
+breakpoints and breakpoint capacities held on the spectrum.  Convolutional
+and multilayer families reduce to it.  All values are in nats.
 """
 
 from __future__ import annotations
@@ -114,17 +116,20 @@ class MmiResult:
     active_components: int
 
 
-def mmi_formula(spectrum: Spectrum, noise_var: float, budget, active_count):
+def mmi_formula(spectrum: Spectrum, noise_var: float, bp: Breakpoints, budget,
+                active_count):
     """One branch of the piecewise capacity expression in nats, elementwise
-    over arrays of budgets and active counts.  Taken as (m/2) logaddexp(0,
-    log(F / (s T_m))) + (1/2)(m log(T_m / m) + log det_m), in which s enters
-    through one log ratio, so the value is finite wherever the capacity is."""
+    over arrays of budgets and active counts m: c_m + (m/2) log1p(rise /
+    floor), with rise = (F - rho_m) / m taken from ``bp`` and floor = s /
+    lambda_m.  Where rise / floor passes the double range, log1p is taken as
+    log(rise) - log(floor), so the value is finite wherever the capacity is."""
     m = np.asarray(active_count)
-    log_trace = spectrum.log_inverse_trace(m)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(budget) - math.log(noise_var) - log_trace
-    nats = 0.5 * m * np.logaddexp(0.0, log_ratio) \
-        + 0.5 * (m * (log_trace - np.log(m)) + spectrum.log_det(m))
+    rise = (budget - bp.values[m - 1]) / m
+    floor = noise_var / spectrum.values[m - 1]
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = rise / floor
+        grown = np.where(np.isfinite(ratio), np.log1p(ratio), np.log(rise) - np.log(floor))
+    nats = spectrum.breakpoint_capacities[m - 1] + 0.5 * m * grown
     return float(nats) if np.ndim(nats) == 0 else nats
 
 
@@ -165,9 +170,7 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     budget = budgets(budget)
     excluded = regime(budget, bp)
     active = n_tilde - excluded
-    nats = np.where(budget == 0.0, 0.0,
-                    repetitions * mmi_formula(spectrum, noise_var, budget, active))
-    nats = float(nats) if np.ndim(budget) == 0 else nats
+    nats = repetitions * mmi_formula(spectrum, noise_var, bp, budget, active)
     return MmiResult(nats, excluded, bp, active)
 
 
@@ -191,14 +194,13 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     """Budget at which the capacity reaches ``target_nats``, in closed form.
 
     Two scalar ``evaluate`` calls and a binary search.  Every family is r
-    times a dense capacity, inverted here at target / r.  With m components
-    active the water level starts at s / lambda_m at the breakpoint rho_m, so
-    in that regime C(F) = C(rho_m) + (m / 2) log1p((F - rho_m) / (m s /
-    lambda_m)), which inverts without cancellation.  The capacity at
-    ``budget_max`` raises TargetUnreachable and gives the breakpoints; m is
-    the number of breakpoint capacities (``Spectrum.breakpoint_capacities``)
-    that do not exceed the target, found by binary search; C(rho_m) is the
-    second evaluation.
+    times a dense capacity, inverted here at target / r.  ``evaluate`` computes
+    the regime of m active components as C(F) = C(rho_m) + (m / 2) log1p((F -
+    rho_m) / (m s / lambda_m)) (``mmi_formula``), and this inverts that same
+    expression, without cancellation.  The capacity at ``budget_max`` raises
+    TargetUnreachable and gives the breakpoints; m is the number of breakpoint
+    capacities (``Spectrum.breakpoint_capacities``) that do not exceed the
+    target, found by binary search; C(rho_m) is the second evaluation.
     """
     target_nats = positive(target_nats, "target_nats")
     spectrum, n_tilde, repetitions = _reduce(arch, source)

@@ -9,7 +9,6 @@ spectrum models used by the curve presets, and the file loaders.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    IndexOutOfRange,
     NonPositiveEigenvalue,
     NotPositiveDefinite,
     NotSymmetric,
@@ -52,11 +50,8 @@ class Spectrum:
     Component indices are 1-based in every user-facing API (index 1 is the
     largest eigenvalue).  Everything held on a spectrum is read-only:
 
-    - at construction, the prefix sums that every closed-form branch reads:
-      the logs of the prefix sums of 1/lambda, which stay finite past the
-      double range, and the prefix sums of log lambda;
-    - on first use, the capacities at the breakpoints, which only budget
-      inversion reads;
+    - on first use, the capacities at the breakpoints, which every closed-form
+      branch reads;
     - the water-filling state (floors and breakpoints) of the last
       ``(noise_var, n_tilde)`` asked for, replaced when another is asked for
       (``waterfill.breakpoints``).
@@ -66,8 +61,6 @@ class Spectrum:
     """
 
     values: np.ndarray
-    _log_inverse_prefix: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _waterfill: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -85,41 +78,9 @@ class Spectrum:
         if np.any(np.diff(vals) > 0.0):
             raise ConfigError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "values", _frozen_array(vals))
-        # A running sum adds up to n * eps of rounding; accumulating in extended
-        # precision (where the platform has it) keeps each prefix correctly rounded.
-        # A 1/lambda prefix past the double range rounds to inf; its log stays
-        # finite, continued past the last finite sum as a running log-sum-exp.
-        logs = np.log(vals)
-        with np.errstate(over="ignore"):  # rounded to float64, so the logs are float64
-            inverse_prefix = np.cumsum(inverse, dtype=np.longdouble).astype(np.float64)
-        log_inverse_prefix = np.log(inverse_prefix)
-        if not math.isfinite(inverse_prefix[-1]):
-            first = int(np.argmin(np.isfinite(inverse_prefix)))
-            log_inverse_prefix[first - 1:] = np.logaddexp.accumulate(
-                np.append(log_inverse_prefix[first - 1], -logs[first:]))
-        log_inverse_prefix.flags.writeable = False
-        object.__setattr__(self, "_log_inverse_prefix", log_inverse_prefix)
-        object.__setattr__(self, "_log_prefix",
-                           _frozen_array(np.cumsum(logs, dtype=np.longdouble)))
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def _prefix(self, sums: np.ndarray, count):
-        counts = np.asarray(count)
-        if not np.all((1 <= counts) & (counts <= len(self))):
-            raise IndexOutOfRange(f"component count {count} outside [1, {len(self)}]")
-        out = sums[counts - 1]
-        return float(out) if out.ndim == 0 else out
-
-    def log_inverse_trace(self, count):
-        """log of the sum of 1 / lambda over the leading ``count`` entries
-        (elementwise), finite even where that sum passes the double range."""
-        return self._prefix(self._log_inverse_prefix, count)
-
-    def log_det(self, count):
-        """Sum of log lambda over the leading ``count`` entries (elementwise)."""
-        return self._prefix(self._log_prefix, count)
 
     @cached_property
     def breakpoint_capacities(self) -> np.ndarray:
@@ -127,12 +88,19 @@ class Spectrum:
 
         With the water level at s / lambda_k the capacity is
         c_k = (1/2) sum_{i<=k} log(lambda_i / lambda_k), whatever the noise
-        variance s.  Built as c_1 = 0, c_{k+1} = c_k + (k/2)(log lambda_k -
-        log lambda_{k+1}), whose increments are non-negative, so the sequence
-        is non-decreasing bit-for-bit.
+        variance s.  Built as c_1 = 0, c_{k+1} = c_k + (k/2) log1p(g_k) over the
+        gaps g_k = (lambda_k - lambda_{k+1}) / lambda_{k+1}: neighbours within
+        a factor 2 subtract exactly, so an increment inside a cluster of
+        eigenvalues keeps its relative accuracy.  Where g_k passes the double
+        range the increment is log lambda_k - log lambda_{k+1}.  The increments
+        are non-negative, so the sequence is non-decreasing bit-for-bit.
         """
-        logs = np.log(self.values)
-        steps = np.arange(1, len(self)) * (logs[:-1] - logs[1:])
+        vals = self.values
+        with np.errstate(over="ignore"):
+            gaps = (vals[:-1] - vals[1:]) / vals[1:]
+        logs = np.log(vals)
+        steps = np.arange(1, len(self)) * np.where(
+            np.isfinite(gaps), np.log1p(gaps), logs[:-1] - logs[1:])
         out = np.zeros(len(self))
         out[1:] = 0.5 * np.cumsum(steps, dtype=np.longdouble)
         out.flags.writeable = False
@@ -257,15 +225,19 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
 
 def load_covariance_csv(path) -> CovarianceMatrix:
     """Read a covariance matrix from CSV: a square numeric grid, one row per line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not tok.strip() for tok in row):
-                continue
-            try:
-                rows.append([float(tok) for tok in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, row in enumerate(lines, start=1):
+        if not row or all(not tok.strip() for tok in row):
+            continue
+        try:
+            rows.append([float(tok) for tok in row])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty covariance file")
     width = len(rows[0])

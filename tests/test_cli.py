@@ -260,6 +260,17 @@ class TestFileSources:
                                 "--spectrum", f"file:{path}", "--F", "1"], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("name, flag", [("bad.csv", "--spectrum"),
+                                            ("bad.json", "--spectrum"),
+                                            ("bad.json", "--config")])
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, name, flag):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe1,2")
+        value = f"file:{path}" if flag == "--spectrum" else str(path)
+        code, out, err = run_cli(["mmi", "--arch", "fc:2,2", flag, value, "--F", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["mmi", "--arch", "fc:2,2",
                                 "--spectrum", "file:/nonexistent.csv", "--F", "1"], capsys)
@@ -510,7 +521,6 @@ class TestInputErrors:
         else:
             assert err.startswith("error:") and f"eigenvalue 7099 of {n0}" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("args, code, text", [
         (["mmi", "--arch", "fc:7098,2", "--F", "1"], 0, '"active_components": 2'),
         (["mmi", "--arch", "fc:7098,7098", "--F", "1"], 0, '"mmi": 0.400057181'),

@@ -41,8 +41,6 @@ from mmicap import (
     verify_relu_theorem,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def normal_cdf(x):
     """Independent standard normal CDF via the error function."""

@@ -1,6 +1,8 @@
 """Closed-form capacity: hand values, regime consistency, and identities."""
 
 import math
+import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mmicap import (
     FullyConnected,
     MultiLayer,
     NegativeBudget,
+    Spectrum,
     TargetUnreachable,
     breakpoints,
     evaluate,
@@ -24,9 +27,6 @@ from mmicap import (
     mmi_formula,
     model_spectrum,
 )
-
-# Any overflow in a prefix sum fails loudly instead of warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TWO_ONE = model_spectrum("explicit", values=[2.0, 1.0])
 FULL_BUDGET_NATS = math.log(2.0) + 0.5 * math.log(2.0)       # 1.0397207708399179
@@ -126,10 +126,18 @@ class TestBreakpointAgreement:
             bp = breakpoints(spec, noise_var, size)
             for k in range(2, size + 1):
                 budget = float(bp.values[k - 1])
-                gap = abs(mmi_formula(spec, noise_var, budget, k)
-                          - mmi_formula(spec, noise_var, budget, k - 1))
+                gap = abs(mmi_formula(spec, noise_var, bp, budget, k)
+                          - mmi_formula(spec, noise_var, bp, budget, k - 1))
                 worst = max(worst, gap)
         assert worst <= 1e-10
+
+    def test_a_1e_9_error_in_the_breakpoint_capacities_fails_the_check(self, monkeypatch):
+        from mmicap import verify
+        exact = Spectrum.breakpoint_capacities.func
+        monkeypatch.setattr(Spectrum, "breakpoint_capacities", property(
+            lambda self: np.append(0.0, exact(self)[1:] * (1.0 + 1e-9))))
+        report = verify._check_breakpoint_agreement(0)
+        assert report["pass"] is False and report["max_abs_gap"] > 1e-9
 
 
 class TestScaleIdentities:
@@ -550,3 +558,101 @@ def test_numpy_scalars_give_the_python_number_results():
     assert evaluate(conv, block, np.float64(0.7), 2.5).nats == evaluate(
         ArchitectureSpec(Convolutional(6, 3, 2)),
         BlockCovariance(CovarianceMatrix(np.diag(spec.values[:3])), 2), 0.7, 2.5).nats
+
+
+def reference_capacity(values, noise_var, budget):
+    """Dense capacity to 60 digits by a direct level search that reads no
+    breakpoint or breakpoint capacity: the level L = (F + s T_m) / m for the
+    largest m with L > s / lambda_m, T_m the sum of 1 / lambda_i, then C =
+    (1/2) sum_{i<=m} ln(L lambda_i / s).  Doubles convert to Decimal exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s, f = Decimal(noise_var), Decimal(budget)
+        trace, level, product = Decimal(0), None, Decimal(1)
+        for m, value in enumerate(map(Decimal, values), start=1):
+            trace += 1 / value
+            candidate = (f + s * trace) / m
+            if candidate <= s / value:
+                break
+            level, active = candidate, m
+        if level is None:
+            return Decimal(0)
+        for value in map(Decimal, values[:active]):
+            product *= level * value / s
+        return product.ln() / 2
+
+
+def wide_instance(rng):
+    n = int(rng.integers(1, 40))
+    values = np.exp(rng.uniform(-30.0, 30.0, n))
+    return (values, int(rng.integers(1, n + 1)), float(np.exp(rng.uniform(-20.0, 20.0))),
+            float(np.exp(rng.uniform(-25.0, 25.0))))
+
+
+def clustered_instance(rng):
+    # b (1 + e^u), u in [-40, 0]: below u = -36.7 the entry rounds to b exactly,
+    # and one in four entries repeats its neighbour
+    n = int(rng.integers(2, 40))
+    base, noise_var = np.exp(rng.uniform(-10.0, 10.0, 2))
+    values = np.sort(base * (1.0 + np.exp(rng.uniform(-40.0, 0.0, n))))[::-1]
+    repeats = np.flatnonzero(rng.random(n - 1) < 0.25) + 1
+    values[repeats] = values[repeats - 1]
+    budget = noise_var / base * np.exp(rng.uniform(-45.0, 5.0))
+    return values, int(rng.integers(1, n + 1)), float(noise_var), float(budget)
+
+
+def relative_errors(draw, seed, count=500):
+    """Closed form against the reference on ``count`` instances from ``draw``:
+    (capacity, relative error, absolute error) rows, relative taken where C > 0."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        values, n_tilde, noise_var, budget = draw(rng)
+        spectrum = model_spectrum("explicit", values=values)
+        closed = evaluate(ArchitectureSpec(FullyConnected(len(spectrum), n_tilde)),
+                          spectrum, noise_var, budget).nats
+        exact = reference_capacity(spectrum.values[:n_tilde].tolist(), noise_var, budget)
+        gap = abs(Decimal(closed) - exact)
+        rows.append((float(exact), float(gap / exact) if exact else float(gap), float(gap)))
+    return np.array(rows)
+
+
+class TestSixtyDigitReference:
+    """Relative accuracy of ``evaluate`` against ``reference_capacity``."""
+
+    @pytest.mark.parametrize("draw, seed", [(wide_instance, 91), (clustered_instance, 92)],
+                             ids=["wide", "clustered"])
+    def test_relative_and_absolute_error(self, draw, seed):
+        capacity, relative, absolute = relative_errors(draw, seed).T
+        assert np.all(relative[capacity >= 1e-300] <= 1e-14), relative.max()
+        assert np.all(absolute <= 1e-15 * np.maximum(1.0, capacity))
+
+    def test_one_active_component_near_a_tie(self):
+        # three eigenvalues within 1e-6: F = 1e-12 keeps one component active
+        values = [1.0 + 1e-6, 1.0 + 5e-7, 1.0]
+        nats = evaluate(ArchitectureSpec(FullyConnected(3, 3)), Spectrum(values), 1.0,
+                        1e-12).nats
+        exact = reference_capacity(values, 1.0, 1e-12)
+        assert float(exact) == pytest.approx(5.0000049999975e-13, rel=1e-12)
+        assert nats == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("draw", [wide_instance, clustered_instance],
+                             ids=["wide", "clustered"])
+    def test_inversion_round_trip(self, draw):
+        rng = np.random.default_rng(93)
+        worst = 0.0
+        for _ in range(200):
+            values, n_tilde, noise_var, budget = draw(rng)
+            spectrum = model_spectrum("explicit", values=values)
+            arch = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
+            target = evaluate(arch, spectrum, noise_var, budget).nats
+            found = invert_mmi(arch, spectrum, noise_var, target, budget_max=2.0 * budget)
+            reached = evaluate(arch, spectrum, noise_var, found).nats
+            worst = max(worst, abs(reached - target) / target)
+        assert worst <= 1e-13
+
+    def test_thousand_instances_within_three_seconds(self):
+        start = time.perf_counter()
+        relative_errors(wide_instance, 94)
+        relative_errors(clustered_instance, 95)
+        assert time.perf_counter() - start <= 3.0

