@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, TargetUnreachable, budgets, positive
+from .errors import (ConfigError, DimensionMismatch, IndexOutOfRange, TargetUnreachable,
+                     budgets, positive)
 from .spectrum import BlockCovariance, Spectrum, decompose_covariance
-from .waterfill import Breakpoints, breakpoints, regime
+from .waterfill import Breakpoints, _waterfill_state, breakpoints, regime
 
 #: Default upper bracket for budget inversion.
 DEFAULT_BUDGET_MAX = 1e6
@@ -116,19 +117,30 @@ class MmiResult:
     active_components: int
 
 
-def mmi_formula(spectrum: Spectrum, noise_var: float, bp: Breakpoints, budget,
+def _scaled(x, num, den: float):
+    """x * num / den elementwise, formed from the mantissas with the exponents
+    added apart, so nothing over- or underflows before the result does."""
+    (xm, xe), (nm, ne), (dm, de) = np.frexp(x), np.frexp(num), math.frexp(den)
+    return np.ldexp(xm * nm / dm, xe + ne - de)
+
+
+def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
                 active_count):
-    """One branch of the piecewise capacity expression in nats, elementwise
-    over arrays of budgets and active counts m: c_m + (m/2) log1p(rise /
-    floor), with rise = (F - rho_m) / m taken from ``bp`` and floor = s /
-    lambda_m.  Where rise / floor passes the double range, log1p is taken as
-    log(rise) - log(floor), so the value is finite wherever the capacity is."""
+    """One branch of the piecewise capacity in nats, elementwise over budgets
+    and active counts m in [1, n_tilde]: c_m + (m/2) log1p(rise lambda_m / s),
+    rise = (F - rho_m) / m from the breakpoints held for ``(noise_var,
+    n_tilde)``.  The floor s / lambda_m is never formed (``_scaled``); past the
+    double range log1p is log(rise) + log(lambda_m) - log(s)."""
+    _, bp = _waterfill_state(spectrum, noise_var, n_tilde)
     m = np.asarray(active_count)
+    if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > len(bp)):
+        raise IndexOutOfRange(f"active count {active_count} not an integer in [1, {len(bp)}]")
+    eigenvalue = spectrum.values[m - 1]
     rise = (budget - bp.values[m - 1]) / m
-    floor = noise_var / spectrum.values[m - 1]
-    with np.errstate(over="ignore", divide="ignore"):
-        ratio = rise / floor
-        grown = np.where(np.isfinite(ratio), np.log1p(ratio), np.log(rise) - np.log(floor))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = _scaled(rise, eigenvalue, noise_var)
+        grown = np.where(np.isfinite(ratio), np.log1p(ratio),
+                         np.log(rise) + np.log(eigenvalue) - math.log(noise_var))
     nats = spectrum.breakpoint_capacities[m - 1] + 0.5 * m * grown
     return float(nats) if np.ndim(nats) == 0 else nats
 
@@ -170,7 +182,7 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     budget = budgets(budget)
     excluded = regime(budget, bp)
     active = n_tilde - excluded
-    nats = repetitions * mmi_formula(spectrum, noise_var, bp, budget, active)
+    nats = repetitions * mmi_formula(spectrum, noise_var, n_tilde, budget, active)
     return MmiResult(nats, excluded, bp, active)
 
 
@@ -194,13 +206,12 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     """Budget at which the capacity reaches ``target_nats``, in closed form.
 
     Two scalar ``evaluate`` calls and a binary search.  Every family is r
-    times a dense capacity, inverted here at target / r.  ``evaluate`` computes
-    the regime of m active components as C(F) = C(rho_m) + (m / 2) log1p((F -
-    rho_m) / (m s / lambda_m)) (``mmi_formula``), and this inverts that same
-    expression, without cancellation.  The capacity at ``budget_max`` raises
-    TargetUnreachable and gives the breakpoints; m is the number of breakpoint
-    capacities (``Spectrum.breakpoint_capacities``) that do not exceed the
-    target, found by binary search; C(rho_m) is the second evaluation.
+    times a dense capacity, inverted here at target / r.  This inverts the
+    expression ``mmi_formula`` evaluates, C(F) = C(rho_m) + (m / 2) log1p((F -
+    rho_m) lambda_m / (m s)), without cancellation.  The capacity at
+    ``budget_max`` raises TargetUnreachable and gives the breakpoints; m is
+    the number of breakpoint capacities that do not exceed the target, found
+    by binary search; C(rho_m) is the second evaluation.
     """
     target_nats = positive(target_nats, "target_nats")
     spectrum, n_tilde, repetitions = _reduce(arch, source)
@@ -214,5 +225,10 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     m = int(np.searchsorted(capacities, target, side="right"))
     rho = float(ceiling.breakpoints.values[m - 1])
     at_rho = evaluate(dense, spectrum, noise_var, rho).nats
-    level = noise_var / spectrum.values[m - 1]
-    return float(rho + m * level * math.expm1(2.0 * (target - at_rho) / m))
+    grown = 2.0 * (target - at_rho) / m
+    eigenvalue = float(spectrum.values[m - 1])
+    try:
+        rise = float(_scaled(math.expm1(grown), noise_var, eigenvalue))
+    except OverflowError:  # expm1(grown) and exp(grown) agree to far below an ulp
+        rise = math.exp(grown + math.log(noise_var) - math.log(eigenvalue))
+    return float(rho + m * rise)

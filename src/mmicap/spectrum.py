@@ -89,11 +89,10 @@ class Spectrum:
         With the water level at s / lambda_k the capacity is
         c_k = (1/2) sum_{i<=k} log(lambda_i / lambda_k), whatever the noise
         variance s.  Built as c_1 = 0, c_{k+1} = c_k + (k/2) log1p(g_k) over the
-        gaps g_k = (lambda_k - lambda_{k+1}) / lambda_{k+1}: neighbours within
-        a factor 2 subtract exactly, so an increment inside a cluster of
-        eigenvalues keeps its relative accuracy.  Where g_k passes the double
-        range the increment is log lambda_k - log lambda_{k+1}.  The increments
-        are non-negative, so the sequence is non-decreasing bit-for-bit.
+        gaps g_k = (lambda_k - lambda_{k+1}) / lambda_{k+1}, exact inside a
+        cluster (log lambda_k - log lambda_{k+1} where g_k passes the double
+        range).  The increments are non-negative, so the sequence is
+        non-decreasing bit-for-bit.
         """
         vals = self.values
         with np.errstate(over="ignore"):
@@ -225,19 +224,18 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
 
 def load_covariance_csv(path) -> CovarianceMatrix:
     """Read a covariance matrix from CSV: a square numeric grid, one row per line."""
+    rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = list(csv.reader(fh))
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(not tok.strip() for tok in row):
+                    continue
+                try:
+                    rows.append([float(tok) for tok in row])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    rows = []
-    for lineno, row in enumerate(lines, start=1):
-        if not row or all(not tok.strip() for tok in row):
-            continue
-        try:
-            rows.append([float(tok) for tok in row])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty covariance file")
     width = len(rows[0])

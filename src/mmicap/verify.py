@@ -178,13 +178,9 @@ def _check_optimizer(seed: int, instances: int = 3) -> dict:
 
 
 def _check_breakpoint_agreement(seed: int, instances: int = 100) -> dict:
-    """Adjacent capacity branches must agree at every breakpoint.
-
-    At F = rho_k branch k reads the breakpoint capacity c_k alone, while branch
-    k - 1 reaches it from c_{k-1} through the step rho_k - rho_{k-1}.  So the
-    check sets the capacities' recurrence against the breakpoints', which are
-    accumulated independently (``Spectrum.breakpoint_capacities``,
-    ``waterfill.breakpoints``)."""
+    """Adjacent capacity branches must agree at every breakpoint: at F = rho_k
+    branch k reads c_k alone and branch k - 1 steps from c_{k-1} over rho_k -
+    rho_{k-1}, so the two independent recurrences are set against each other."""
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
     for _ in range(instances):
@@ -192,11 +188,11 @@ def _check_breakpoint_agreement(seed: int, instances: int = 100) -> dict:
         spectrum = model_spectrum(
             "explicit", values=np.exp(rng.uniform(-3, 3, size=dim)))
         noise_var = float(rng.choice([0.1, 1.0, 10.0]))
-        bp = breakpoints(spectrum, noise_var, dim)
+        bp = breakpoints(spectrum, noise_var, dim).values
         for k in range(2, dim + 1):
-            budget = float(bp.values[k - 1])
-            low = mmi_formula(spectrum, noise_var, bp, budget, k - 1)
-            high = mmi_formula(spectrum, noise_var, bp, budget, k)
+            budget = float(bp[k - 1])
+            low = mmi_formula(spectrum, noise_var, dim, budget, k - 1)
+            high = mmi_formula(spectrum, noise_var, dim, budget, k)
             worst = np.maximum(worst, abs(high - low))  # a NaN gap stays NaN
     return {"name": "breakpoint-agreement", "instances": instances,
             "max_abs_gap": float(worst), "tolerance": 1e-10, "pass": bool(worst <= 1e-10)}

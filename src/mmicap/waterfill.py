@@ -67,17 +67,16 @@ def _floors_and_breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int):
     computed afresh; callers read them through ``_waterfill_state``."""
     if not 1 <= n_tilde <= len(spectrum):
         raise IndexOutOfRange(f"component count {n_tilde} outside [1, {len(spectrum)}]")
-    # The smallest eigenvalue of the prefix gives the largest floor, the
-    # largest eigenvalue the smallest.  A subnormal floor carries too few digits
-    # to place the breakpoints that every capacity branch is anchored at.
+    # The smallest eigenvalue gives the largest floor.  A subnormal floor cannot
+    # place a breakpoint; rho_1 = 0 reads no floor, and f_2 is the smallest read.
     if not math.isfinite(noise_var / float(spectrum.values[n_tilde - 1])):
         raise NonPositiveEigenvalue(
             f"noise_var / eigenvalue overflows for noise_var {noise_var} and "
             f"eigenvalue {spectrum.values[n_tilde - 1]}")
-    if noise_var / float(spectrum.values[0]) < np.finfo(np.float64).tiny:
+    if n_tilde > 1 and noise_var / float(spectrum.values[1]) < np.finfo(np.float64).tiny:
         raise NonPositiveEigenvalue(
             f"noise_var / eigenvalue underflows for noise_var {noise_var} and "
-            f"eigenvalue {spectrum.values[0]}")
+            f"eigenvalue {spectrum.values[1]}")
     values = spectrum.values[:n_tilde]
     floors = noise_var / values
     with np.errstate(over="ignore"):  # held as inf, see Breakpoints
@@ -111,11 +110,9 @@ def breakpoints(spectrum: Spectrum, noise_var: float, n_tilde: int) -> Breakpoin
 
     Computed through the cumulative form
         rho_1 = 0,   rho_{k+1} = rho_k + k * (f_{k+1} - f_k)
-    with f_{k+1} - f_k taken as f_{k+1} (lambda_k - lambda_{k+1}) / lambda_k:
-    neighbours within a factor 2 subtract exactly, so a cluster of eigenvalues
-    loses no accuracy to cancellation.  The increments are non-negative even
-    in floating point, so the returned sequence is non-decreasing bit-for-bit
-    and starts at exactly 0.
+    with f_{k+1} - f_k taken as f_{k+1} (lambda_k - lambda_{k+1}) / lambda_k, so
+    a cluster of eigenvalues loses nothing to cancellation.  The increments are
+    non-negative, so the sequence is non-decreasing bit-for-bit from exactly 0.
     The closed form is noise_var * (k / lambda_k - sum_{i<=k} 1 / lambda_i).
     The result is held on ``spectrum`` until another ``(noise_var, n_tilde)``
     is asked for, and repeated calls return that same read-only object.

@@ -146,11 +146,11 @@ def test_criterion_4_piecewise_consistency():
         size = int(rng.integers(2, 33))
         spectrum = model_spectrum("explicit", values=log_uniform(rng, size))
         noise_var = float(rng.choice([0.1, 1.0, 10.0]))
-        bp = breakpoints(spectrum, noise_var, size)
+        bp = breakpoints(spectrum, noise_var, size).values
         for k in range(2, size + 1):
-            budget = float(bp.values[k - 1])
-            worst = max(worst, abs(mmi_formula(spectrum, noise_var, bp, budget, k)
-                                   - mmi_formula(spectrum, noise_var, bp, budget, k - 1)))
+            budget = float(bp[k - 1])
+            worst = max(worst, abs(mmi_formula(spectrum, noise_var, size, budget, k)
+                                   - mmi_formula(spectrum, noise_var, size, budget, k - 1)))
     curves_ok = True
     grid = np.linspace(0.0, 500.0, 400)
     for kind, rate in (("exp_decay", 0.1), ("harmonic", None)):

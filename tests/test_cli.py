@@ -99,6 +99,16 @@ class TestCmdMmi:
         assert code == 0
         assert parse_json(out)["rows"][0]["mmi"] == pytest.approx(2.07944154, abs=1e-8)
 
+    def test_floor_below_the_double_range(self, capsys):
+        # s / lambda_1 = 1e-330 underflows; the capacity and breakpoints do not
+        args = ["--arch", "fc:2,2", "--spectrum", "list:1e30,1", "--sigma2", "1e-300"]
+        code, out, _ = run_cli(["mmi", *args, "--F", "1"], capsys)
+        assert code == 0
+        assert parse_json(out)["rows"][0]["mmi"] == 724.621157
+        code, out, _ = run_cli(["breakpoints", *args], capsys)
+        assert code == 0
+        assert [row["breakpoint"] for row in parse_json(out)["rows"]] == [0.0, 1e-300]
+
     def test_missing_budget_exits_2(self, capsys):
         code, _, err = run_cli(["mmi", "--arch", "fc:2,2", "--spectrum", "list:2,1"], capsys)
         assert code == 2

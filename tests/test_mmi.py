@@ -16,6 +16,7 @@ from mmicap import (
     CovarianceMatrix,
     DimensionMismatch,
     FullyConnected,
+    IndexOutOfRange,
     MultiLayer,
     NegativeBudget,
     Spectrum,
@@ -123,11 +124,11 @@ class TestBreakpointAgreement:
             size = int(rng.integers(2, 33))
             spec = random_spectrum(rng, size)
             noise_var = float(rng.choice([0.1, 1.0, 10.0]))
-            bp = breakpoints(spec, noise_var, size)
+            bp = breakpoints(spec, noise_var, size).values
             for k in range(2, size + 1):
-                budget = float(bp.values[k - 1])
-                gap = abs(mmi_formula(spec, noise_var, bp, budget, k)
-                          - mmi_formula(spec, noise_var, bp, budget, k - 1))
+                budget = float(bp[k - 1])
+                gap = abs(mmi_formula(spec, noise_var, size, budget, k)
+                          - mmi_formula(spec, noise_var, size, budget, k - 1))
                 worst = max(worst, gap)
         assert worst <= 1e-10
 
@@ -530,12 +531,18 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
      ConfigError),
     (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, math.inf, 0.1),
      ConfigError),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, 1.0, 0), IndexOutOfRange),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, 1.0, 3), IndexOutOfRange),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, [1.0, 1.0], [1, 3]), IndexOutOfRange),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, 1.0, 1.0), IndexOutOfRange),
 ], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
         "unknown-family", "spectrum-for-conv", "wrong-block-size", "nan-dim", "inf-dim",
         "bool-dim", "float-dim", "string-dim", "float-filters", "float-width",
         "bool-noise-params", "negative-budget-params", "nan-noise", "string-noise",
         "bool-noise-held", "string-budget", "bool-budget", "ragged-budgets",
-        "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert"])
+        "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert",
+        "formula-zero-active", "formula-past-bottleneck", "formula-array-past-bottleneck",
+        "formula-float-active"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(error):
         call()
@@ -650,6 +657,30 @@ class TestSixtyDigitReference:
             reached = evaluate(arch, spectrum, noise_var, found).nats
             worst = max(worst, abs(reached - target) / target)
         assert worst <= 1e-13
+
+    def test_a_leading_floor_below_the_double_range(self):
+        # s / lambda_1 = 1e-330 is below the smallest double; the branches scale
+        # rise by lambda_m / s instead of dividing by the floor
+        values, noise_var = [1e30, 1.0], 1e-300
+        spectrum, arch = Spectrum(values), ArchitectureSpec(FullyConnected(2, 2))
+        assert evaluate(arch, spectrum, noise_var, 1.0).nats == pytest.approx(
+            724.6211571125644, rel=1e-14, abs=0.0)
+        for budget in (0.0, 1e-320, 1e-300, 1.0, 1e10, 1e308):
+            nats = evaluate(arch, spectrum, noise_var, budget).nats
+            exact = float(reference_capacity(values, noise_var, budget))
+            assert nats == pytest.approx(exact, rel=1e-14, abs=0.0)
+        # targets below c_2 = 34.5 nats fall in the branch of that floor
+        for target in (30.0, 380.0, 700.0):
+            found = invert_mmi(arch, spectrum, noise_var, target)
+            assert evaluate(arch, spectrum, noise_var, found).nats == pytest.approx(
+                target, rel=1e-13, abs=0.0)
+
+    def test_inversion_past_the_range_of_expm1(self):
+        # 2 * 695 nats is past log(max double): the step is exp(grown) scaled in log space
+        arch, spectrum = ArchitectureSpec(FullyConnected(1, 1)), Spectrum([1.0])
+        found = invert_mmi(arch, spectrum, 1e-300, 695.0, budget_max=1e308)
+        assert evaluate(arch, spectrum, 1e-300, found).nats == pytest.approx(
+            695.0, rel=1e-13, abs=0.0)
 
     def test_thousand_instances_within_three_seconds(self):
         start = time.perf_counter()

@@ -170,13 +170,23 @@ class TestFloorOverflow:
                 solve_waterfill(1.0, spectrum, 1e10, 2)
 
 
-    @pytest.mark.parametrize("values, noise_var", [([1e30, 1.0], 1e-300), ([2.0, 1.0], 5e-324)])
-    def test_subnormal_floor_rejected(self, values, noise_var):
+    @pytest.mark.parametrize("values, noise_var", [([1e30, 1e29], 1e-300), ([2.0, 1.0], 5e-324)])
+    def test_subnormal_breakpoint_floor_rejected(self, values, noise_var):
+        # rho_2 = f_2 (lambda_1 - lambda_2) / lambda_1 would carry too few digits
         spectrum = model_spectrum("explicit", values=values)
         with pytest.raises(NonPositiveEigenvalue, match="underflows"):
             breakpoints(spectrum, noise_var, 2)
         with pytest.raises(NonPositiveEigenvalue, match="underflows"):
             evaluate(ArchitectureSpec(FullyConnected(2, 2)), spectrum, noise_var, 1.0)
+        assert breakpoints(spectrum, noise_var, 1).values.tolist() == [0.0]
+
+    def test_subnormal_leading_floor_accepted(self):
+        # f_1 = 1e-330 places no breakpoint (rho_1 = 0 whatever f_1)
+        spectrum = model_spectrum("explicit", values=[1e30, 1.0])
+        assert breakpoints(spectrum, 1e-300, 2).values.tolist() == [0.0, 1e-300]
+        sol = solve_waterfill(1.0, spectrum, 1e-300, 2)
+        assert sol.water_level == 0.5 and sol.allocations.tolist() == [0.5, 0.5]
+        assert sol.active_count == 2 and sol.budget_used == 1.0
 
 
 class TestSolveWaterfill:
