@@ -36,6 +36,7 @@ from .mc import (
 from .mmi import (
     ArchitectureSpec,
     Convolutional,
+    CurvePoint,
     FullyConnected,
     MmiResult,
     MultiLayer,

@@ -109,7 +109,10 @@ def finite(value, name: str):
 
 def budgets(value):
     """``value``, one budget or an array of them, as a float or a float64
-    array; raises ``NegativeBudget`` unless each is a number in [0, inf)."""
+    array; raises ``NegativeBudget`` unless each is a number in [0, inf).
+    A Python float in range passes on one comparison; all else goes through numpy."""
+    if type(value) is float and 0.0 <= value < np.inf:
+        return value
     try:
         arr = np.asarray(value)
         ok = arr.dtype.kind in "iuf" and np.all((0.0 <= arr) & (arr < np.inf))

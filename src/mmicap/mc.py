@@ -11,9 +11,9 @@ The density evaluation splits its points into chunks of fixed boundaries.
 Each call hands one task per worker to a process-wide pool; the workers pull
 chunk indices from one shared counter until none is left, and compute each
 chunk in one chunk-sized buffer of their own.  The worker count is capped by
-the MMI_THREADS environment variable (0 or unset picks up to 4, no more than
-the CPUs the process may run on).  Each chunk writes its own slice of the
-result, so results do not depend on the thread count.
+the MMI_THREADS environment variable (0 or unset: up to 4, no more than the
+usable CPUs; over MAX_THREADS, 64, raises ConfigError).  Each chunk writes its
+own slice of the result, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ if TYPE_CHECKING:
 #: product, exp and row sums all run in a core's L2 cache, and memory stays
 #: flat at one chunk per worker.
 _CHUNK_ELEMENTS = 1 << 17
+
+MAX_THREADS = 64  #: MMI_THREADS ceiling: the pool starts up to one OS thread per chunk
 
 #: Worker pools by thread count, shared by every call in the process.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -151,7 +153,9 @@ def _thread_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"MMI_THREADS must be an integer, got {raw!r}") from exc
-    if positive(n, "MMI_THREADS", integer=True, least=0) == 0:
+    if positive(n, "MMI_THREADS", integer=True, least=0) > MAX_THREADS:
+        raise ConfigError(f"MMI_THREADS must be at most {MAX_THREADS}, got {n}")
+    if n == 0:
         # the CPUs this process may run on, which can be fewer than the host's
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count())

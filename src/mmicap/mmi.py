@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,12 +109,20 @@ class MmiResult:
     active_components = bottleneck - regime is the branch order of the
     piecewise formula that produced ``nats``.  For an array of budgets,
     ``nats``, ``regime`` and ``active_components`` are arrays over them.
-    Immutable and compared by identity; every point of a curve shares one ``breakpoints``.
+    Immutable and compared by identity.
     """
 
     nats: float
     regime: int
     breakpoints: Breakpoints
+    active_components: int
+
+
+class CurvePoint(NamedTuple):
+    """One ``mmi_curve`` point; the curve's breakpoints are on ``evaluate``'s result."""
+
+    nats: float
+    regime: int
     active_components: int
 
 
@@ -187,18 +196,16 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
 
 
 def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
-              budget_grid) -> list[tuple[float, MmiResult]]:
-    """Pointwise capacity along an ascending budget grid."""
+              budget_grid) -> list[tuple[float, CurvePoint]]:
+    """``(budget, CurvePoint)`` pairs along an ascending grid, from one ``evaluate``."""
     grid = budgets(budget_grid)
     if np.ndim(grid) != 1 or grid.size == 0:
         raise DimensionMismatch("budget grid must be a non-empty 1-D sequence")
     if np.any(np.diff(grid) < 0.0):
         raise ConfigError("budget grid must be ascending")
     out = evaluate(arch, source, noise_var, grid)
-    bp = out.breakpoints
-    return [(f, MmiResult(v, k, bp, m)) for f, v, k, m in zip(
-        grid.tolist(), out.nats.tolist(), out.regime.tolist(),
-        out.active_components.tolist())]
+    return list(zip(grid.tolist(), map(CurvePoint, out.nats.tolist(), out.regime.tolist(),
+                                       out.active_components.tolist())))
 
 
 def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,

@@ -660,6 +660,19 @@ class TestThreadCount:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert mmicap.mc._thread_count() == 1
 
+    @pytest.mark.parametrize("raw", ["1", "5", "64"])
+    def test_up_to_the_ceiling_is_taken_as_given(self, monkeypatch, raw):
+        monkeypatch.setenv("MMI_THREADS", raw)
+        assert mmicap.mc.MAX_THREADS == 64
+        assert mmicap.mc._thread_count() == int(raw)
+
+    @pytest.mark.parametrize("raw", ["65", "100000", str(10 ** 30)])
+    def test_above_the_ceiling_raises(self, monkeypatch, raw):
+        # read only: a kernel at these values could start one thread per chunk
+        monkeypatch.setenv("MMI_THREADS", raw)
+        with pytest.raises(ConfigError, match=r"^MMI_THREADS must be at most 64"):
+            mmicap.mc._thread_count()
+
 
 class TestReluMatchesClosedFormSpectrum:
     def test_closed_form_is_activation_blind(self):

@@ -17,6 +17,7 @@ from mmicap import (
     DimensionMismatch,
     FullyConnected,
     IndexOutOfRange,
+    MmiResult,
     MultiLayer,
     NegativeBudget,
     Spectrum,
@@ -358,6 +359,31 @@ class TestArrayEvaluate:
                                       1.0, [2.5])
         assert type(budget) is float and type(point.nats) is float
         assert type(point.regime) is int and type(point.active_components) is int
+
+    def test_curve_builds_one_result(self, monkeypatch):
+        built = []
+        init = MmiResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MmiResult, "__init__", counting_init)
+        arch = ArchitectureSpec(FullyConnected(100, 50))
+        spec = model_spectrum("exp_decay", 100, rate=0.1)
+        grid = np.linspace(0.0, 500.0, 400)
+        points = mmi_curve(arch, spec, 1.0, grid)
+        assert len(points) == 400 and len(built) == 1
+        out = evaluate(arch, spec, 1.0, grid)
+        assert [budget for budget, _ in points] == grid.tolist()
+        nats = np.array([point.nats for _, point in points])
+        assert nats.tobytes() == out.nats.tobytes()
+        assert [point.regime for _, point in points] == out.regime.tolist()
+        assert [point.active_components for _, point in points] \
+            == out.active_components.tolist()
+        assert all(type(point.nats) is float and type(point.regime) is int
+                   and type(point.active_components) is int for _, point in points)
+        assert len(set(out.regime.tolist())) > 1  # the grid crosses breakpoints
 
     def test_conv_curve_decomposes_the_block_once(self, monkeypatch):
         rng = np.random.default_rng(32)

@@ -34,6 +34,7 @@ from mmicap import (
     solve_waterfill,
 )
 from mmicap import waterfill
+from mmicap.errors import budgets
 
 
 def grid_search_objective(budget, floors, steps=200):
@@ -157,6 +158,46 @@ class TestRegime:
         with pytest.raises(MmicapError):
             build_optimal_weights(budget, decompose_covariance(
                 CovarianceMatrix(np.diag([2.0, 1.0]))), 1.0, 2)
+
+
+def float_bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestScalarBudgetCheck:
+    """A Python float in [0, inf) passes ``budgets`` on one comparison; every
+    input must come out as the numpy path a 0-d array takes gives it."""
+
+    @staticmethod
+    def checked(value):
+        try:
+            return budgets(value)
+        except NegativeBudget:
+            return NegativeBudget
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, 1e308, float("nan"), float("inf"), -1.0, True,
+        np.float64(2.0), 3, "1"])
+    def test_matches_the_array_path(self, value):
+        fast, slow = self.checked(value), self.checked(np.array(value))
+        if slow is NegativeBudget:
+            assert fast is NegativeBudget
+        else:
+            assert type(fast) is type(slow) is float
+            assert float_bits(fast) == float_bits(slow)
+
+    def test_numpy_and_python_floats_give_identical_results(self):
+        spec = model_spectrum("exp_decay", 6, rate=0.4)
+        python, numpy = (solve_waterfill(f, spec, 0.7, 4) for f in (2.5, np.float64(2.5)))
+        assert float_bits(python.water_level) == float_bits(numpy.water_level)
+        assert python.allocations.tobytes() == numpy.allocations.tobytes()
+        assert python.active_count == numpy.active_count
+        assert float_bits(python.budget_used) == float_bits(numpy.budget_used)
+        arch = ArchitectureSpec(FullyConnected(6, 4))
+        python, numpy = (evaluate(arch, spec, 0.7, f) for f in (2.5, np.float64(2.5)))
+        assert type(numpy.nats) is float and float_bits(python.nats) == float_bits(numpy.nats)
+        assert (python.regime, python.active_components) == (numpy.regime,
+                                                            numpy.active_components)
 
 
 class TestFloorOverflow:
