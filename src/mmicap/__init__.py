@@ -62,17 +62,10 @@ from .spectrum import (
     SpectralDecomposition,
     Spectrum,
     decompose_covariance,
-    eigvals_from_covariance,
     load_covariance_csv,
     model_spectrum,
 )
 from .verify import delta_bound, g_bound, run_verification, verify_relu_theorem
-from .waterfill import (
-    Breakpoints,
-    WaterfillSolution,
-    breakpoints,
-    regime,
-    solve_waterfill,
-)
+from .waterfill import breakpoints, regime, solve_waterfill
 
 __version__ = "0.1.0"

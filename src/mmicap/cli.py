@@ -24,11 +24,11 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, MmicapError, finite, positive
+from .errors import ConfigError, MmicapError, NumericalOverflow, finite, positive
 from .mmi import (ArchitectureSpec, Convolutional, FullyConnected, MultiLayer, evaluate,
                   mmi_curve)
 from .spectrum import (SPECTRUM_KINDS, BlockCovariance, CovarianceMatrix,
-                       eigvals_from_covariance, load_covariance_csv, model_spectrum)
+                       decompose_covariance, load_covariance_csv, model_spectrum)
 from .verify import run_verification
 
 DEFAULTS = {"sigma2": 1.0, "units": "nats", "out": "json", "seed": 0}
@@ -195,7 +195,7 @@ def _build_source(doc, arch: ArchitectureSpec):
     if "covariance_csv" in doc:
         cov = load_covariance_csv(_check(doc["covariance_csv"], "spectrum.covariance_csv", str))
         if not conv:
-            return eigvals_from_covariance(cov)
+            return decompose_covariance(cov).spectrum
     else:
         kind = _check(doc.get("kind"), "spectrum.kind", SPECTRUM_KINDS)
         n = _check(doc.get("n"), "spectrum.n", int, required=False)
@@ -300,9 +300,11 @@ def _write_gnuplot(script_path: str, rows: list[dict], units: str) -> None:
 
 def cmd_breakpoints(args) -> int:
     config = RunConfig(args)
-    bp = evaluate(config.arch, config.source, config.sigma2, 0.0).breakpoints
-    rows = [{"k": k + 1, "breakpoint": float(value)}
-            for k, value in enumerate(bp.finite())]
+    rho = evaluate(config.arch, config.source, config.sigma2, 0.0).breakpoints
+    if not np.isfinite(rho[-1]):
+        raise NumericalOverflow(f"breakpoint {int(np.argmin(np.isfinite(rho))) + 1} "
+                                f"of {rho.size} passes the double range")
+    rows = [{"k": k + 1, "breakpoint": value} for k, value in enumerate(rho.tolist())]
     _emit(rows, {"command": "breakpoints", "sigma2": config.sigma2}, config.out)
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, IndexOutOfRange, TargetUnreachable,
                      budgets, positive)
 from .spectrum import BlockCovariance, Spectrum, decompose_covariance
-from .waterfill import Breakpoints, _waterfill_state, breakpoints, regime
+from .waterfill import _waterfill_state, breakpoints, regime
 
 #: Default upper bracket for budget inversion.
 DEFAULT_BUDGET_MAX = 1e6
@@ -109,12 +109,14 @@ class MmiResult:
     active_components = bottleneck - regime is the branch order of the
     piecewise formula that produced ``nats``.  For an array of budgets,
     ``nats``, ``regime`` and ``active_components`` are arrays over them.
+    ``breakpoints`` is the read-only array ``waterfill.breakpoints`` holds on
+    the spectrum, the same object for every result read from that state.
     Immutable and compared by identity.
     """
 
     nats: float
     regime: int
-    breakpoints: Breakpoints
+    breakpoints: np.ndarray
     active_components: int
 
 
@@ -140,12 +142,12 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
     rise = (F - rho_m) / m from the breakpoints held for ``(noise_var,
     n_tilde)``.  The floor s / lambda_m is never formed (``_scaled``); past the
     double range log1p is log(rise) + log(lambda_m) - log(s)."""
-    _, bp = _waterfill_state(spectrum, noise_var, n_tilde)
+    _, rho = _waterfill_state(spectrum, noise_var, n_tilde)
     m = np.asarray(active_count)
-    if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > len(bp)):
-        raise IndexOutOfRange(f"active count {active_count} not an integer in [1, {len(bp)}]")
+    if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > rho.size):
+        raise IndexOutOfRange(f"active count {active_count} not an integer in [1, {rho.size}]")
     eigenvalue = spectrum.values[m - 1]
-    rise = (budget - bp.values[m - 1]) / m
+    rise = (budget - rho[m - 1]) / m
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = _scaled(rise, eigenvalue, noise_var)
         grown = np.where(np.isfinite(ratio), np.log1p(ratio),
@@ -187,12 +189,12 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     blocks.  The breakpoints are computed once for all budgets.
     """
     spectrum, n_tilde, repetitions = _reduce(arch, source)
-    bp = breakpoints(spectrum, noise_var, n_tilde)
+    rho = breakpoints(spectrum, noise_var, n_tilde)
     budget = budgets(budget)
-    excluded = regime(budget, bp)
+    excluded = regime(budget, rho)
     active = n_tilde - excluded
     nats = repetitions * mmi_formula(spectrum, noise_var, n_tilde, budget, active)
-    return MmiResult(nats, excluded, bp, active)
+    return MmiResult(nats, excluded, rho, active)
 
 
 def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
@@ -230,7 +232,7 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
             f"target {target_nats} nats exceeds the capacity at budget {budget_max}")
     capacities = spectrum.breakpoint_capacities[:ceiling.active_components]
     m = int(np.searchsorted(capacities, target, side="right"))
-    rho = float(ceiling.breakpoints.values[m - 1])
+    rho = float(ceiling.breakpoints[m - 1])
     at_rho = evaluate(dense, spectrum, noise_var, rho).nats
     grown = 2.0 * (target - at_rho) / m
     eigenvalue = float(spectrum.values[m - 1])

@@ -28,6 +28,12 @@ from .waterfill import solve_waterfill
 #: Singular values below this fraction of the largest count as zero rank.
 RANK_RTOL = 1e-12
 
+#: The initial trust radius, as a share of the budget sphere's radius sqrt(budget).
+STEP_SIZE = 0.1
+
+#: The ascent has converged once the Riemannian gradient norm is at most this.
+TOLERANCE = 1e-8
+
 #: A trust-region step is accepted when the increase is at least this share
 #: of the model's prediction; below 1/4 the radius shrinks, above 3/4 it grows.
 ACCEPT_RATIO = 0.1
@@ -58,22 +64,15 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Trust-region ascent settings; per-restart seeds derive from (seed, index).
-
-    ``step_size`` times sqrt(budget) is the initial trust radius.
-    """
+    """Trust-region ascent settings; per-restart seeds derive from (seed, index)."""
 
     max_iters: int = 5000
-    step_size: float = 0.1
-    tolerance: float = 1e-8
     seed: int = 0
     restarts: int = 5
 
     def __post_init__(self) -> None:
         for name, least in (("max_iters", 1), ("seed", 0), ("restarts", 1)):
             positive(getattr(self, name), name, integer=True, least=least)
-        for name in ("step_size", "tolerance"):
-            positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class OptimizeResult:
 
     ``converged`` is False when the winning restart still had a Riemannian
     gradient (the gradient's component tangent to the budget sphere) above
-    tolerance after max_iters, or its trust region collapsed first; the
+    ``TOLERANCE`` after max_iters, or its trust region collapsed first; the
     best-found point is returned either way.
     """
 
@@ -136,9 +135,9 @@ def build_optimal_weights(budget: float, decomposition: SpectralDecomposition,
     input_dim = len(spectrum)
     hidden_dim = positive(hidden_dim, "hidden_dim", integer=True, error=DimensionMismatch)
     n_tilde = min(input_dim, hidden_dim)
-    solution = solve_waterfill(budget, spectrum, noise_var, n_tilde)
+    alloc = solve_waterfill(budget, spectrum, noise_var, n_tilde)
     w = np.zeros((hidden_dim, input_dim))
-    w[:n_tilde, :] = (np.sqrt(solution.allocations)[:, None]
+    w[:n_tilde, :] = (np.sqrt(alloc)[:, None]
                       * decomposition.eigenvectors[:, :n_tilde].T)
     return WeightMatrix(w)
 
@@ -227,7 +226,7 @@ def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
     """
     factor, value = _mi_value(w, cov, noise_var)
     max_radius = math.sqrt(budget)
-    radius = config.step_size * max_radius
+    radius = STEP_SIZE * max_radius
     grad_norm = np.inf
     moved = True
     for iterations in range(config.max_iters):
@@ -236,7 +235,7 @@ def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             radial = float(np.sum(grad * w)) / budget
             grad_norm = math.sqrt(np.sum((grad - radial * w) ** 2))
             basis = _horizontal_basis(w)
-            if grad_norm <= config.tolerance or basis.shape[1] == 0:
+            if grad_norm <= TOLERANCE or basis.shape[1] == 0:
                 return w, value, True, iterations, grad_norm
             hess = basis.T @ _hessian(w, grad, factor, cov, noise_var) @ basis
             hess.flat[::hess.shape[0] + 1] -= radial

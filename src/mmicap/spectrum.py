@@ -52,8 +52,9 @@ class Spectrum:
 
     - on first use, the capacities at the breakpoints, which every closed-form
       branch reads;
-    - the water-filling state (floors and breakpoints) of the last
-      ``(noise_var, n_tilde)`` asked for, replaced when another is asked for
+    - the water-filling state of the last ``(noise_var, n_tilde)`` asked for,
+      one tuple ``(noise_var, n_tilde, floors, rho)`` of two scalars and two
+      plain arrays, replaced when another key is asked for
       (``waterfill.breakpoints``).
 
     Equality and hashing are by identity, as for every array-holding type of
@@ -189,11 +190,6 @@ def decompose_covariance(cov: CovarianceMatrix) -> SpectralDecomposition:
     ``RELATIVE_PD_FLOOR`` times the largest).
     """
     return cov._decomposition
-
-
-def eigvals_from_covariance(cov: CovarianceMatrix) -> Spectrum:
-    """All eigenvalues of ``cov``, descending."""
-    return decompose_covariance(cov).spectrum
 
 
 def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None,

@@ -144,7 +144,7 @@ def _check_achievability(seed: int, mmi_offset: float, instances: int = 40) -> d
         decomposition = decompose_covariance(cov)
         spectrum = decomposition.spectrum
         n_tilde = min(input_dim, hidden_dim)
-        bp = breakpoints(spectrum, noise_var, n_tilde).values
+        bp = breakpoints(spectrum, noise_var, n_tilde)
         budgets = list(bp) + list(0.5 * (bp[:-1] + bp[1:])) + [bp[-1] * 1.5 + 1.0]
         for budget in budgets:
             closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
@@ -188,7 +188,7 @@ def _check_breakpoint_agreement(seed: int, instances: int = 100) -> dict:
         spectrum = model_spectrum(
             "explicit", values=np.exp(rng.uniform(-3, 3, size=dim)))
         noise_var = float(rng.choice([0.1, 1.0, 10.0]))
-        bp = breakpoints(spectrum, noise_var, dim).values
+        bp = breakpoints(spectrum, noise_var, dim)
         for k in range(2, dim + 1):
             budget = float(bp[k - 1])
             low = mmi_formula(spectrum, noise_var, dim, budget, k - 1)

@@ -28,7 +28,6 @@ from mmicap import (
     breakpoints,
     build_optimal_weights,
     decompose_covariance,
-    eigvals_from_covariance,
     evaluate,
     exact_linear_mi,
     factor_check_multilayer,
@@ -79,7 +78,7 @@ def test_criterion_1_achievability():
         dec = decompose_covariance(cov)
         n_tilde = min(input_dim, hidden_dim)
         bp = breakpoints(dec.spectrum, noise_var, n_tilde)
-        for budget in budgets_spanning_breakpoints(bp.values):
+        for budget in budgets_spanning_breakpoints(bp):
             closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
                               dec.spectrum, noise_var, budget).nats
             weights = build_optimal_weights(budget, dec, noise_var, hidden_dim)
@@ -102,7 +101,7 @@ def test_criterion_2_optimizer():
         cov = rotated_covariance(rng, log_uniform(rng, input_dim, lo=1e-1, hi=1e1))
         spectrum = decompose_covariance(cov).spectrum
         n_tilde = min(input_dim, hidden_dim)
-        top = float(breakpoints(spectrum, noise_var, n_tilde).values[-1])
+        top = float(breakpoints(spectrum, noise_var, n_tilde)[-1])
         budget = float(rng.uniform(0.1, top * 1.2 + 2.0))
         closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
                           spectrum, noise_var, budget).nats
@@ -131,7 +130,7 @@ def test_criterion_3_breakpoints_ordered():
         size = int(rng.integers(1, 65))
         spectrum = model_spectrum("explicit", values=log_uniform(rng, size))
         noise_var = float(rng.choice([0.1, 1.0, 10.0]))
-        bp = breakpoints(spectrum, noise_var, size).values
+        bp = breakpoints(spectrum, noise_var, size)
         ok = ok and bp[0] == 0.0 and bool(np.all(np.diff(bp) >= 0.0))
     elapsed = time.perf_counter() - start
     report(3, "breakpoint sequences non-decreasing with exact zero start", ok,
@@ -146,7 +145,7 @@ def test_criterion_4_piecewise_consistency():
         size = int(rng.integers(2, 33))
         spectrum = model_spectrum("explicit", values=log_uniform(rng, size))
         noise_var = float(rng.choice([0.1, 1.0, 10.0]))
-        bp = breakpoints(spectrum, noise_var, size).values
+        bp = breakpoints(spectrum, noise_var, size)
         for k in range(2, size + 1):
             budget = float(bp[k - 1])
             worst = max(worst, abs(mmi_formula(spectrum, noise_var, size, budget, k)
@@ -178,7 +177,7 @@ def test_criterion_5_convolutional():
             ArchitectureSpec(Convolutional(block.input_dim, block.block.dim, num_filters)),
             block, 1.0, budget)
         dense = evaluate(ArchitectureSpec(FullyConnected(block_size, num_filters)),
-                         eigvals_from_covariance(block.block), 1.0, budget)
+                         decompose_covariance(block.block).spectrum, 1.0, budget)
         identity_exact = identity_exact and closed.nats == reps * dense.nats
         result = maximize_mi_conv(budget, block, num_filters, 1.0,
                                   OptimizerConfig(seed=2000 + input_dim, restarts=5))

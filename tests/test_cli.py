@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -215,6 +216,27 @@ class TestCmdBreakpoints:
                                 "--spectrum", "list:4,2,1"], capsys)
         rows = parse_json(out)["rows"]
         assert len(rows) == 2
+
+
+class TestPinnedOutputBytes:
+    """Report bytes that refactors of the closed form must leave unchanged."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (["curve", "--figure1", "left", "--out", "csv"],
+         "7071648d03176ad4a53f20de1640424100754c927011e0ee07b9cedbf6d60e2f"),
+        (["breakpoints", "--arch", "fc:3,3", "--spectrum", "list:4,2,1", "--out", "csv"],
+         "461a0e8243e38b757a255c45a94698c072f7c05ddbc47ee698a0980577fc6a5a"),
+    ], ids=["curve-figure1-left", "breakpoints-fc-3-3"])
+    def test_stdout_sha256(self, capsys, args, digest):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_breakpoint_past_the_double_range_exits_2(self, capsys):
+        code, out, err = run_cli(["breakpoints", "--arch", "fc:7098,7098",
+                                  "--spectrum", "exp:0.1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: breakpoint 7011 of 7098 passes the double range\n"
 
 
 class TestConfigPrecedence:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mmicap import (
     ArchitectureSpec,
     BlockCovariance,
-    Breakpoints,
     ConfigError,
     CovarianceMatrix,
     DimensionMismatch,
@@ -22,11 +21,9 @@ from mmicap import (
     NotPositiveDefinite,
     NotSymmetric,
     Spectrum,
-    WaterfillSolution,
     WeightMatrix,
     breakpoints,
     decompose_covariance,
-    eigvals_from_covariance,
     evaluate,
     linear_channel,
     load_covariance_csv,
@@ -62,17 +59,17 @@ def random_spd(rng, dim, jitter=0.1):
 
 class TestEigvalsFromCovariance:
     def test_identity(self):
-        spec = eigvals_from_covariance(CovarianceMatrix(np.eye(3)))
+        spec = decompose_covariance(CovarianceMatrix(np.eye(3))).spectrum
         np.testing.assert_array_equal(spec.values, [1.0, 1.0, 1.0])
 
     def test_diagonal_sorted(self):
-        spec = eigvals_from_covariance(CovarianceMatrix(np.diag([1.0, 2.0])))
+        spec = decompose_covariance(CovarianceMatrix(np.diag([1.0, 2.0]))).spectrum
         np.testing.assert_allclose(spec.values, [2.0, 1.0], rtol=0, atol=1e-14)
 
     def test_eigenvalue_product_matches_lu_determinant(self):
         rng = np.random.default_rng(42)
         cov = random_spd(rng, 5)
-        spec = eigvals_from_covariance(cov)
+        spec = decompose_covariance(cov).spectrum
         det = lu_determinant(cov.entries)
         assert abs(np.prod(spec.values) - det) <= 1e-8 * abs(det)
 
@@ -90,8 +87,8 @@ class TestEigvalsFromCovariance:
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         rotated = CovarianceMatrix(q.T @ cov.entries @ q)
         np.testing.assert_allclose(
-            eigvals_from_covariance(rotated).values,
-            eigvals_from_covariance(cov).values,
+            decompose_covariance(rotated).spectrum.values,
+            decompose_covariance(cov).spectrum.values,
             rtol=1e-8, atol=1e-10,
         )
 
@@ -100,7 +97,7 @@ class TestEigvalsFromCovariance:
         for dim in (1, 3, 8):
             cov = random_spd(rng, dim)
             trace = float(np.trace(cov.entries))
-            total = float(np.sum(eigvals_from_covariance(cov).values))
+            total = float(np.sum(decompose_covariance(cov).spectrum.values))
             assert abs(total - trace) <= 1e-8 * abs(trace)
 
     def test_not_symmetric(self):
@@ -109,11 +106,11 @@ class TestEigvalsFromCovariance:
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            eigvals_from_covariance(CovarianceMatrix(np.diag([1.0, 0.0])))
+            decompose_covariance(CovarianceMatrix(np.diag([1.0, 0.0]))).spectrum
 
     def test_near_singular_rejected(self):
         with pytest.raises(NotPositiveDefinite):
-            eigvals_from_covariance(CovarianceMatrix(np.diag([1.0, 1e-14])))
+            decompose_covariance(CovarianceMatrix(np.diag([1.0, 1e-14]))).spectrum
 
 
 class TestDecompositionIsHeld:
@@ -132,7 +129,7 @@ class TestDecompositionIsHeld:
         calls = self.counting_eigh(monkeypatch)
         first, second = decompose_covariance(cov), decompose_covariance(cov)
         assert len(calls) == 1 and second is first
-        assert eigvals_from_covariance(cov) is first.spectrum and len(calls) == 1
+        assert decompose_covariance(cov).spectrum is first.spectrum and len(calls) == 1
         assert not first.eigenvectors.flags.writeable
         assert not first.spectrum.values.flags.writeable
 
@@ -406,7 +403,7 @@ def test_capacity_stays_finite_past_the_double_range():
     # passes the double range at k = 7076, and these budgets reach regimes past it
     spectrum = model_spectrum("exp_decay", 7098, rate=0.1)
     arch = ArchitectureSpec(FullyConnected(7098, 7098))
-    bp = breakpoints(spectrum, 1e-10, 7098).values
+    bp = breakpoints(spectrum, 1e-10, 7098)
     budgets = [1.0, bp[7075], bp[7076], 1e303]
     result = evaluate(arch, spectrum, 1e-10, budgets)
     assert np.all(np.isfinite(result.nats)) and np.all(np.diff(result.nats) > 0.0)
@@ -417,13 +414,11 @@ def test_capacity_stays_finite_past_the_double_range():
 @pytest.mark.parametrize("build", [
     lambda: Spectrum([2.0, 1.0]),
     lambda: CovarianceMatrix([[2.0, 0.5], [0.5, 1.0]]),
-    lambda: Breakpoints([0.0, 0.5]),
-    lambda: solve_waterfill(2.5, Spectrum([2.0, 1.0]), 1.0, 2),
     lambda: decompose_covariance(CovarianceMatrix([[2.0, 0.5], [0.5, 1.0]])),
     lambda: WeightMatrix([[1.0, 2.0], [3.0, 4.0]]),
     lambda: linear_channel(WeightMatrix([[1.0, 2.0], [3.0, 4.0]]), [0.0, 1.0], 1.0),
-], ids=["Spectrum", "CovarianceMatrix", "Breakpoints", "WaterfillSolution",
-        "SpectralDecomposition", "WeightMatrix", "ChannelModel"])
+], ids=["Spectrum", "CovarianceMatrix", "SpectralDecomposition", "WeightMatrix",
+        "ChannelModel"])
 def test_array_holding_values_compare_and_hash_by_identity(build):
     a, twin = build(), build()
     assert a == a
