@@ -19,7 +19,6 @@ from .errors import (
     NotSymmetric,
     NumericalOverflow,
     NumericalUnderflow,
-    TargetUnreachable,
 )
 from .mc import (
     ChannelModel,

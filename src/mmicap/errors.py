@@ -1,7 +1,8 @@
 """Exception types, and the one input policy: every public entry point checks
 its numbers through ``positive``, ``real``, ``finite`` and ``budgets`` (the
-README lists the rule for each input); bools and strings are not numbers to
-any of them.  ``ConfigError`` is also a ``ValueError``."""
+README lists the rule for each input), and weights against a covariance
+through ``fits``; bools and strings are not numbers to any of them.
+``ConfigError`` is also a ``ValueError``."""
 
 import numbers
 import operator
@@ -37,10 +38,6 @@ class DimensionMismatch(MmicapError):
     """Array shapes do not conform to the declared architecture."""
 
 
-class TargetUnreachable(MmicapError):
-    """Requested capacity exceeds what the budget bracket allows."""
-
-
 class InfeasibleFactorization(MmicapError):
     """A layer width is smaller than the rank the product must carry."""
 
@@ -50,7 +47,7 @@ class NumericalUnderflow(MmicapError):
 
 
 class NumericalOverflow(MmicapError):
-    """A breakpoint a query reads passes the double range."""
+    """A breakpoint a query reads, or a budget it returns, passes the double range."""
 
 
 class DeltaOutOfRange(MmicapError):
@@ -121,3 +118,10 @@ def budgets(value):
     if not ok:
         raise NegativeBudget(f"budget must be non-negative and finite, got {value!r}")
     return float(arr) if arr.ndim == 0 else arr.astype(np.float64, copy=False)
+
+
+def fits(weights, cov) -> None:
+    """Raises ``DimensionMismatch`` unless ``weights`` act on ``cov``'s inputs."""
+    if weights.input_dim != cov.dim:
+        raise DimensionMismatch(
+            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow, finite, positive
+from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow, finite, fits, positive
 from .spectrum import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -130,11 +130,10 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Point estimate in nats with its standard error and provenance."""
+    """Point estimate in nats with its standard error."""
 
     value: float
     std_error: float
-    config: MCConfig
 
 
 def sample_gaussian_inputs(cov: CovarianceMatrix, n: int, seed) -> np.ndarray:
@@ -243,6 +242,7 @@ def _draw(model: ChannelModel, cov: CovarianceMatrix, mc: MCConfig):
     """Inner inputs, outer inputs and outer noise from substreams 0, 1 and 2
     of ``mc.seed`` (3 is reserved for the conditional Jacobian term of
     bijective channels)."""
+    fits(model.weights, cov)
     ss = np.random.SeedSequence(mc.seed).spawn(3)
     x_inner = sample_gaussian_inputs(cov, mc.n_inner, ss[0])
     x_outer = sample_gaussian_inputs(cov, mc.n_outer, ss[1])
@@ -277,7 +277,7 @@ def estimate_entropy(model: ChannelModel, cov: CovarianceMatrix,
     inner-sample noise shows up as a small one-sided bias instead.
     """
     value, se = _mean_se(_entropy_contributions(model, *_draw(model, cov, mc)))
-    return MCEstimate(value, se, mc)
+    return MCEstimate(value, se)
 
 
 def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
@@ -301,7 +301,7 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
         corr, corr_se = _mean_se(log_dets)
         cond += corr
         se = math.hypot(se, corr_se)
-    return MCEstimate(value - cond, se, mc)
+    return MCEstimate(value - cond, se)
 
 
 def verify_entropy_ordering(model: ChannelModel, cov: CovarianceMatrix,

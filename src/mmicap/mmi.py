@@ -21,13 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, IndexOutOfRange, TargetUnreachable,
+from .errors import (ConfigError, DimensionMismatch, IndexOutOfRange, NumericalOverflow,
                      budgets, positive)
 from .spectrum import BlockCovariance, Spectrum, decompose_covariance
 from .waterfill import _waterfill_state, breakpoints, regime
-
-#: Default upper bracket for budget inversion.
-DEFAULT_BUDGET_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,9 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
     and active counts m in [1, n_tilde]: c_m + (m/2) log1p(rise lambda_m / s),
     rise = (F - rho_m) / m from the breakpoints held for ``(noise_var,
     n_tilde)``.  The floor s / lambda_m is never formed (``_scaled``); past the
-    double range log1p is log(rise) + log(lambda_m) - log(s)."""
+    double range log1p is log(rise) + log(lambda_m) - log(s).  Raises
+    NegativeBudget unless every budget lies in [0, inf)."""
+    budget = budgets(budget)
     _, rho = _waterfill_state(spectrum, noise_var, n_tilde)
     m = np.asarray(active_count)
     if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > rho.size):
@@ -190,7 +189,6 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     """
     spectrum, n_tilde, repetitions = _reduce(arch, source)
     rho = breakpoints(spectrum, noise_var, n_tilde)
-    budget = budgets(budget)
     excluded = regime(budget, rho)
     active = n_tilde - excluded
     nats = repetitions * mmi_formula(spectrum, noise_var, n_tilde, budget, active)
@@ -211,33 +209,33 @@ def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
 
 
 def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
-               target_nats: float, budget_max: float = DEFAULT_BUDGET_MAX) -> float:
+               target_nats: float) -> float:
     """Budget at which the capacity reaches ``target_nats``, in closed form.
 
-    Two scalar ``evaluate`` calls and a binary search.  Every family is r
-    times a dense capacity, inverted here at target / r.  This inverts the
-    expression ``mmi_formula`` evaluates, C(F) = C(rho_m) + (m / 2) log1p((F -
-    rho_m) lambda_m / (m s)), without cancellation.  The capacity at
-    ``budget_max`` raises TargetUnreachable and gives the breakpoints; m is
-    the number of breakpoint capacities that do not exceed the target, found
-    by binary search; C(rho_m) is the second evaluation.
+    Every family is r times a dense capacity, inverted here at target / r.
+    The capacity rises without bound, so every positive target has a budget.
+    m is the number of breakpoint capacities that do not exceed the target,
+    found by binary search; one scalar ``evaluate`` gives C(rho_m), and the
+    expression ``mmi_formula`` evaluates, C(F) = C(rho_m) + (m / 2)
+    log1p((F - rho_m) lambda_m / (m s)), is inverted without cancellation.
+    A budget past the double range raises NumericalOverflow.
     """
     target_nats = positive(target_nats, "target_nats")
     spectrum, n_tilde, repetitions = _reduce(arch, source)
-    dense = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
     target = target_nats / repetitions
-    ceiling = evaluate(dense, spectrum, noise_var, budget_max)
-    if ceiling.nats < target:
-        raise TargetUnreachable(
-            f"target {target_nats} nats exceeds the capacity at budget {budget_max}")
-    capacities = spectrum.breakpoint_capacities[:ceiling.active_components]
-    m = int(np.searchsorted(capacities, target, side="right"))
-    rho = float(ceiling.breakpoints[m - 1])
-    at_rho = evaluate(dense, spectrum, noise_var, rho).nats
-    grown = 2.0 * (target - at_rho) / m
+    m = int(np.searchsorted(spectrum.breakpoint_capacities[:n_tilde], target, side="right"))
+    rho = float(_waterfill_state(spectrum, noise_var, n_tilde)[1][m - 1])
+    if rho == math.inf:
+        raise NumericalOverflow(f"the budget for {target_nats} nats passes the double range")
+    dense = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
+    grown = 2.0 * (target - evaluate(dense, spectrum, noise_var, rho).nats) / m
     eigenvalue = float(spectrum.values[m - 1])
-    try:
-        rise = float(_scaled(math.expm1(grown), noise_var, eigenvalue))
-    except OverflowError:  # expm1(grown) and exp(grown) agree to far below an ulp
-        rise = math.exp(grown + math.log(noise_var) - math.log(eigenvalue))
-    return float(rho + m * rise)
+    with np.errstate(over="ignore"):  # an overflow is caught below as an infinite budget
+        try:
+            rise = float(_scaled(math.expm1(grown), noise_var, eigenvalue))
+        except OverflowError:  # expm1(grown) and exp(grown) agree to far below an ulp
+            rise = float(np.exp(grown + math.log(noise_var) - math.log(eigenvalue)))
+    budget = rho + m * rise
+    if not math.isfinite(budget):
+        raise NumericalOverflow(f"the budget for {target_nats} nats passes the double range")
+    return budget

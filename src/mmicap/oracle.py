@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InfeasibleFactorization, MmicapError, budgets, finite,
-                     positive)
+                     fits, positive)
 from .mmi import MultiLayer
 from .spectrum import (
     BlockCovariance,
@@ -41,17 +41,15 @@ ACCEPT_RATIO = 0.1
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """A hidden_dim x input_dim weight matrix with its cached squared norm."""
+    """A hidden_dim x input_dim weight matrix."""
 
     entries: np.ndarray
-    frobenius_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(finite(self.entries, "weights"))
         if a.ndim != 2 or a.size == 0:
             raise DimensionMismatch(f"weights must be a 2-D matrix, got shape {a.shape}")
         object.__setattr__(self, "entries", _frozen_array(a))
-        object.__setattr__(self, "frobenius_sq", float(np.sum(a * a)))
 
     @property
     def hidden_dim(self) -> int:
@@ -112,9 +110,7 @@ def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
     (1/2) log det(Id + W Cov W^T / noise_var); independent of any bias.
     """
     noise_var = positive(noise_var, "noise_var")
-    if weights.input_dim != cov.dim:
-        raise DimensionMismatch(
-            f"weights act on {weights.input_dim} inputs, covariance is {cov.dim}-dim")
+    fits(weights, cov)
     return _mi_value(weights.entries, cov.entries, noise_var)[1]
 
 
@@ -292,7 +288,8 @@ def maximize_mi(budget: float, cov: CovarianceMatrix, noise_var: float,
 
 def tile_filter(filter_matrix: np.ndarray, repetitions: int) -> np.ndarray:
     """Block-diagonal weights applying one filter to each input block."""
-    return np.kron(np.eye(repetitions), np.asarray(filter_matrix, dtype=np.float64))
+    repetitions = positive(repetitions, "repetitions", integer=True, error=DimensionMismatch)
+    return np.kron(np.eye(repetitions), finite(filter_matrix, "filter entries"))
 
 
 def maximize_mi_conv(budget: float, block: BlockCovariance, num_filters: int,

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DeltaOutOfRange, DimensionMismatch, finite, positive
+from .errors import ConfigError, DeltaOutOfRange, DimensionMismatch, finite, fits, positive
 from .mc import (
     ChannelModel,
     MCConfig,
@@ -48,6 +48,7 @@ def delta_bound(model: ChannelModel, cov: CovarianceMatrix) -> float:
     """
     if model.activation != "relu":
         raise ConfigError("delta_bound applies to relu channels")
+    fits(model.weights, cov)
     w = model.weights.entries
     variances = np.einsum("ij,jk,ik->i", w, cov.entries, w)
     bound = 0.0

@@ -20,8 +20,8 @@ from mmicap import (
     MmiResult,
     MultiLayer,
     NegativeBudget,
+    NumericalOverflow,
     Spectrum,
-    TargetUnreachable,
     breakpoints,
     decompose_covariance,
     evaluate,
@@ -272,21 +272,32 @@ class TestCurveAndInversion:
     def test_invert_round_trip(self):
         arch = ArchitectureSpec(FullyConnected(2, 2))
         target = evaluate(arch, TWO_ONE, 1.0, 1.0).nats
-        recovered = invert_mmi(arch, TWO_ONE, 1.0, target, budget_max=100.0)
+        recovered = invert_mmi(arch, TWO_ONE, 1.0, target)
         assert recovered == pytest.approx(1.0, abs=1e-6)
 
     def test_invert_hand_value(self):
         arch = ArchitectureSpec(FullyConnected(2, 2))
-        recovered = invert_mmi(arch, TWO_ONE, 1.0, FULL_BUDGET_NATS, budget_max=100.0)
+        recovered = invert_mmi(arch, TWO_ONE, 1.0, FULL_BUDGET_NATS)
         assert recovered == pytest.approx(2.5, abs=1e-6)
 
-    def test_invert_unreachable(self):
-        arch = ArchitectureSpec(FullyConnected(2, 2))
-        ceiling = evaluate(arch, TWO_ONE, 1.0, 10.0).nats
-        assert ceiling == pytest.approx(math.log(11.5 / 2.0) + 0.5 * math.log(2.0),
-                                        abs=1e-12)
-        with pytest.raises(TargetUnreachable):
-            invert_mmi(arch, TWO_ONE, 1.0, 100.0, budget_max=10.0)
+    def test_invert_past_a_million(self):
+        # the figure-1 left family reaches 243.9 nats at F = 1e7
+        arch = ArchitectureSpec(FullyConnected(100, 50))
+        spec = model_spectrum("exp_decay", 100, rate=0.1)
+        target = evaluate(arch, spec, 1.0, 1e7).nats
+        assert invert_mmi(arch, spec, 1.0, target) == pytest.approx(1e7, rel=1e-12, abs=0.0)
+
+    def test_budget_past_the_double_range_overflows(self):
+        # 1e3 nats needs F ~ e^1000 on [2, 1]; on exp(-0.1 i) at n = 7098 the
+        # breakpoints from rho_7011 on are held as inf
+        wide = model_spectrum("exp_decay", 7098, rate=0.1)
+        c_7011 = float(wide.breakpoint_capacities[7010])
+        cases = [(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1e3),
+                 (ArchitectureSpec(FullyConnected(7098, 7098)), wide, c_7011),
+                 (ArchitectureSpec(FullyConnected(7098, 7098)), wide, 2.0 * c_7011)]
+        for arch, spec, target in cases:
+            with pytest.raises(NumericalOverflow):
+                invert_mmi(arch, spec, 1.0, target)
 
 
 class TestArchitectureSpec:
@@ -413,35 +424,36 @@ class TestArrayEvaluate:
 
 
 class TestClosedFormInversion:
-    def assert_round_trips(self, monkeypatch, arch, source, targets, budget_max):
+    def assert_round_trips(self, monkeypatch, arch, source, targets):
         for target in targets:
             calls = counting(monkeypatch, "evaluate")
-            budget = invert_mmi(arch, source, 1.0, target, budget_max=budget_max)
-            assert len(calls) <= 2
+            budget = invert_mmi(arch, source, 1.0, target)
+            assert len(calls) == 1
             monkeypatch.undo()
             assert abs(evaluate(arch, source, 1.0, budget).nats - target) <= 1e-9
 
-    def every_regime(self, arch, source, budget_max):
-        """A target inside each regime and one on each positive breakpoint."""
+    def every_regime(self, arch, source, upper):
+        """A target inside each regime, the last below ``upper``, and one on
+        each positive breakpoint."""
         rho = evaluate(arch, source, 1.0, 0.0).breakpoints
-        inside = np.append(0.5 * (rho[:-1] + rho[1:]), 0.5 * (rho[-1] + budget_max))
+        inside = np.append(0.5 * (rho[:-1] + rho[1:]), 0.5 * (rho[-1] + upper))
         budgets = np.concatenate((inside, rho[1:]))
         return evaluate(arch, source, 1.0, budgets[budgets > 0.0]).nats
 
     def test_random_spectrum_every_regime(self, monkeypatch):
         rng = np.random.default_rng(33)
         arch, spec = ArchitectureSpec(FullyConnected(12, 12)), random_spectrum(rng, 12)
-        budget_max = 10.0 * breakpoints(spec, 1.0, 12)[-1]
-        targets = self.every_regime(arch, spec, budget_max)
+        upper = 10.0 * breakpoints(spec, 1.0, 12)[-1]
+        targets = self.every_regime(arch, spec, upper)
         assert targets.size == 2 * 12 - 1
-        self.assert_round_trips(monkeypatch, arch, spec, targets, budget_max)
+        self.assert_round_trips(monkeypatch, arch, spec, targets)
 
     def test_conv_every_regime(self, monkeypatch):
         rng = np.random.default_rng(34)
         block = rotated_block(rng, np.sort(np.exp(rng.uniform(-2.0, 2.0, 8)))[::-1], 5)
         arch = ArchitectureSpec(Convolutional(40, 8, 6))
         targets = self.every_regime(arch, block, 100.0)
-        self.assert_round_trips(monkeypatch, arch, block, targets, 100.0)
+        self.assert_round_trips(monkeypatch, arch, block, targets)
 
     def test_conv_inversion_decomposes_the_block_once(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -449,7 +461,7 @@ class TestClosedFormInversion:
         arch = ArchitectureSpec(Convolutional(40, 8, 6))
         target = 0.5 * evaluate(arch, block, 1.0, 10.0).nats
         calls = counting(monkeypatch, "decompose_covariance")
-        budget = invert_mmi(arch, block, 1.0, target, budget_max=100.0)
+        budget = invert_mmi(arch, block, 1.0, target)
         assert len(calls) == 1
         monkeypatch.undo()
         assert abs(evaluate(arch, block, 1.0, budget).nats - target) <= 1e-9
@@ -460,7 +472,7 @@ class TestClosedFormInversion:
         rho = breakpoints(spec, 1.0, n)
         budgets = np.concatenate((rho[[1, 10, 999, n - 1]], [0.3, 123.4, 2.0 * rho[-1]]))
         targets = evaluate(arch, spec, 1.0, budgets).nats
-        self.assert_round_trips(monkeypatch, arch, spec, targets, 4.0 * rho[-1])
+        self.assert_round_trips(monkeypatch, arch, spec, targets)
 
     def test_breakpoint_capacities_match_evaluate(self):
         rng = np.random.default_rng(36)
@@ -477,28 +489,28 @@ class TestClosedFormInversion:
         spec, arch = random_spectrum(rng, 15), ArchitectureSpec(FullyConnected(15, 15))
         rho = breakpoints(spec, noise_var, 15)
         for k in range(1, 15):
-            budget = invert_mmi(arch, spec, noise_var, float(spec.breakpoint_capacities[k]),
-                                budget_max=2.0 * rho[-1])
+            budget = invert_mmi(arch, spec, noise_var, float(spec.breakpoint_capacities[k]))
             assert budget == pytest.approx(rho[k], rel=1e-12, abs=0.0)
 
-    def test_two_scalar_evaluates_on_a_wide_fc_and_on_conv(self, monkeypatch):
+    def test_one_scalar_evaluate_on_a_wide_fc_and_on_conv(self, monkeypatch):
         rng = np.random.default_rng(38)
         wide = random_spectrum(rng, 20_000)
         block = rotated_block(rng, np.sort(np.exp(rng.uniform(-2.0, 2.0, 64)))[::-1], 16)
         cases = [(ArchitectureSpec(FullyConnected(20_000, 20_000)), wide, 1e6),
                  (ArchitectureSpec(Convolutional(1024, 64, 32)), block, 1e3)]
-        for arch, source, budget_max in cases:
-            targets = evaluate(arch, source, 1.0, budget_max * np.array([1e-4, 0.1, 0.9])).nats
+        for arch, source, scale in cases:
+            targets = evaluate(arch, source, 1.0, scale * np.array([1e-4, 0.1, 0.9])).nats
             for target in targets:
                 calls = counting(monkeypatch, "evaluate")
-                budget = invert_mmi(arch, source, 1.0, float(target), budget_max=budget_max)
-                assert len(calls) == 2 and all(np.ndim(args[3]) == 0 for args in calls)
+                budget = invert_mmi(arch, source, 1.0, float(target))
+                assert len(calls) == 1 and np.ndim(calls[0][3]) == 0
                 monkeypatch.undo()
                 reached = evaluate(arch, source, 1.0, budget).nats
                 assert abs(reached - target) <= 1e-9
+            # a budget past the double range overflows after the one evaluate
             calls = counting(monkeypatch, "evaluate")
-            with pytest.raises(TargetUnreachable):
-                invert_mmi(arch, source, 1.0, float(targets[-1]), budget_max=0.5 * budget_max)
+            with pytest.raises(NumericalOverflow):
+                invert_mmi(arch, source, 1.0, 1e3 * float(targets[-1]))
             assert len(calls) == 1
             monkeypatch.undo()
 
@@ -561,6 +573,10 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, 1.0, 3), IndexOutOfRange),
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, [1.0, 1.0], [1, 3]), IndexOutOfRange),
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, 1.0, 1.0), IndexOutOfRange),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, -5.0, 1), NegativeBudget),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, math.nan, 1), NegativeBudget),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, math.inf, 1), NegativeBudget),
+    (lambda: mmi_formula(TWO_ONE, 1.0, 2, "x", 1), NegativeBudget),
 ], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
         "unknown-family", "spectrum-for-conv", "wrong-block-size", "nan-dim", "inf-dim",
         "bool-dim", "float-dim", "string-dim", "float-filters", "float-width",
@@ -568,7 +584,8 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
         "bool-noise-held", "string-budget", "bool-budget", "ragged-budgets",
         "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert",
         "formula-zero-active", "formula-past-bottleneck", "formula-array-past-bottleneck",
-        "formula-float-active"])
+        "formula-float-active", "formula-negative-budget", "formula-nan-budget",
+        "formula-inf-budget", "formula-string-budget"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(error):
         call()
@@ -679,7 +696,24 @@ class TestSixtyDigitReference:
             spectrum = model_spectrum("explicit", values=values)
             arch = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
             target = evaluate(arch, spectrum, noise_var, budget).nats
-            found = invert_mmi(arch, spectrum, noise_var, target, budget_max=2.0 * budget)
+            found = invert_mmi(arch, spectrum, noise_var, target)
+            reached = evaluate(arch, spectrum, noise_var, found).nats
+            worst = max(worst, abs(reached - target) / target)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("draw", [wide_instance, clustered_instance],
+                             ids=["wide", "clustered"])
+    def test_inversion_round_trip_up_to_huge_budgets(self, draw):
+        # no bracket caps the budget: F log-uniform in e^[-30, 690], up to 1e299
+        rng = np.random.default_rng(96)
+        worst = 0.0
+        for _ in range(200):
+            values, n_tilde, noise_var, _ = draw(rng)
+            budget = float(np.exp(rng.uniform(-30.0, 690.0)))
+            spectrum = model_spectrum("explicit", values=values)
+            arch = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
+            target = evaluate(arch, spectrum, noise_var, budget).nats
+            found = invert_mmi(arch, spectrum, noise_var, target)
             reached = evaluate(arch, spectrum, noise_var, found).nats
             worst = max(worst, abs(reached - target) / target)
         assert worst <= 1e-13
@@ -704,7 +738,7 @@ class TestSixtyDigitReference:
     def test_inversion_past_the_range_of_expm1(self):
         # 2 * 695 nats is past log(max double): the step is exp(grown) scaled in log space
         arch, spectrum = ArchitectureSpec(FullyConnected(1, 1)), Spectrum([1.0])
-        found = invert_mmi(arch, spectrum, 1e-300, 695.0, budget_max=1e308)
+        found = invert_mmi(arch, spectrum, 1e-300, 695.0)
         assert evaluate(arch, spectrum, 1e-300, found).nats == pytest.approx(
             695.0, rel=1e-13, abs=0.0)
 

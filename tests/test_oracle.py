@@ -18,6 +18,7 @@ from mmicap import (
     DimensionMismatch,
     FullyConnected,
     InfeasibleFactorization,
+    MCConfig,
     MmicapError,
     NegativeBudget,
     OptimizerConfig,
@@ -26,12 +27,18 @@ from mmicap import (
     breakpoints,
     build_optimal_weights,
     decompose_covariance,
+    delta_bound,
+    estimate_entropy,
+    estimate_mi,
     evaluate,
     exact_linear_mi,
     factor_check_multilayer,
+    linear_channel,
     maximize_mi,
     maximize_mi_conv,
+    relu_channel,
     tile_filter,
+    verify_entropy_ordering,
 )
 from mmicap import oracle
 
@@ -106,7 +113,7 @@ class TestBuildOptimalWeights:
         # rows carry sqrt(1.5), sqrt(1.0) on the eigenvector axes, up to signs
         np.testing.assert_allclose(np.abs(w.entries),
                                    np.diag([math.sqrt(1.5), 1.0]), atol=1e-12)
-        assert w.frobenius_sq == pytest.approx(2.5, rel=1e-13)
+        assert np.sum(w.entries**2) == pytest.approx(2.5, rel=1e-13)
 
     def test_single_output_takes_top_component(self):
         dec = decompose_covariance(CovarianceMatrix(np.diag([2.0, 1.0])))
@@ -132,7 +139,7 @@ class TestBuildOptimalWeights:
                               dec.spectrum, noise_var, budget)
             achieved = exact_linear_mi(w, cov, noise_var)
             assert abs(achieved - closed.nats) <= 1e-9
-            assert abs(w.frobenius_sq - budget) <= 1e-12 * max(budget, 1e-12)
+            assert abs(np.sum(w.entries**2) - budget) <= 1e-12 * max(budget, 1e-12)
 
 
 class TestMaximizeMi:
@@ -194,7 +201,7 @@ class TestMaximizeMi:
                 result = maximize_mi(budget, random_cov(rng, n0), 1.0, n1,
                                      OptimizerConfig(max_iters=200, restarts=restarts,
                                                      seed=int(rng.integers(100))))
-                assert abs(result.weights.frobenius_sq - budget) <= 1e-12 * budget
+                assert abs(np.sum(result.weights.entries**2) - budget) <= 1e-12 * budget
 
 
 class TestMaximizeMiConv:
@@ -469,10 +476,6 @@ class TestFactorCheckMultilayer:
 
 
 class TestWeightMatrix:
-    def test_cached_norm(self):
-        w = WeightMatrix([[3.0, 4.0]])
-        assert w.frobenius_sq == 25.0
-
     def test_entries_immutable(self):
         w = WeightMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -483,6 +486,9 @@ DIAG = CovarianceMatrix(np.diag([3.0, 1.5, 0.5]))
 BLOCK = BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 2)
 ONE_RUN = OptimizerConfig(restarts=1)
 EYE = WeightMatrix(np.eye(2))
+# a channel on 3 inputs against a 2-dim covariance
+WIDE_RELU = relu_channel(WeightMatrix(np.ones((2, 3))), np.zeros(2), 1.0)
+EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -514,12 +520,25 @@ EYE = WeightMatrix(np.eye(2))
     (lambda: WeightMatrix([[True, 4.0]]), ConfigError),
     (lambda: exact_linear_mi(EYE, CovarianceMatrix(np.eye(2)), True), ConfigError),
     (lambda: exact_linear_mi(EYE, CovarianceMatrix(np.eye(3)), 1.0), DimensionMismatch),
+    (lambda: estimate_entropy(WIDE_RELU, EYE_COV, FEW_DRAWS), DimensionMismatch),
+    (lambda: estimate_mi(linear_channel(WIDE_RELU.weights, np.zeros(2), 1.0), EYE_COV,
+                         FEW_DRAWS), DimensionMismatch),
+    (lambda: verify_entropy_ordering(WIDE_RELU, EYE_COV, FEW_DRAWS), DimensionMismatch),
+    (lambda: delta_bound(WIDE_RELU, EYE_COV), DimensionMismatch),
+    (lambda: tile_filter([[math.nan, 1.0]], 2), ConfigError),
+    (lambda: tile_filter([["1", "2"]], 2), ConfigError),
+    (lambda: tile_filter(np.eye(2), 0), DimensionMismatch),
+    (lambda: tile_filter(np.eye(2), -1), DimensionMismatch),
+    (lambda: tile_filter(np.eye(2), 2.0), DimensionMismatch),
 ], ids=["negative-noise", "nan-noise", "nan-budget", "inf-budget", "negative-budget",
         "array-budget", "float-hidden-dim", "conv-nan-noise", "zero-filters", "float-filters",
         "exact-nan-noise", "exact-inf-noise", "exact-negative-noise", "weights-float-hidden",
         "weights-nan-noise", "float-width", "no-widths",
         "float-max-iters", "zero-restarts", "negative-seed", "nan-weights",
-        "string-weights", "bool-weights", "exact-bool-noise", "exact-dim-mismatch"])
+        "string-weights", "bool-weights", "exact-bool-noise", "exact-dim-mismatch",
+        "entropy-dim-mismatch", "mi-dim-mismatch", "ordering-dim-mismatch",
+        "delta-bound-dim-mismatch", "tile-nan-filter", "tile-string-filter", "tile-zero-reps",
+        "tile-negative-reps", "tile-float-reps"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(MmicapError) as caught:
         call()
