@@ -159,7 +159,7 @@ def _load_json(path: str, flag: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or malformed JSON
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON
         raise ConfigError(f"{flag} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{flag} {path}: document must be a JSON object")

@@ -47,7 +47,7 @@ class NumericalUnderflow(MmicapError):
 
 
 class NumericalOverflow(MmicapError):
-    """A breakpoint a query reads, or a budget it returns, passes the double range."""
+    """A breakpoint or budget of the closed form, or an oracle value, passes the double range."""
 
 
 class DeltaOutOfRange(MmicapError):

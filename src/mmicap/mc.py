@@ -289,8 +289,8 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
     expectation as H(Z); it is estimated from an independent substream so
     comparisons against the linear channel stay statistically meaningful.
     """
-    contributions = _entropy_contributions(model, *_draw(model, cov, mc))
-    value, se = _mean_se(contributions)
+    entropy = estimate_entropy(model, cov, mc)
+    se = entropy.std_error
     cond = 0.5 * model.hidden_dim * math.log(2.0 * math.pi * math.e * model.noise_var)
     if model.activation == "bijective":
         rng = np.random.default_rng(np.random.SeedSequence(mc.seed).spawn(4)[3])
@@ -301,7 +301,7 @@ def estimate_mi(model: ChannelModel, cov: CovarianceMatrix,
         corr, corr_se = _mean_se(log_dets)
         cond += corr
         se = math.hypot(se, corr_se)
-    return MCEstimate(value - cond, se)
+    return MCEstimate(entropy.value - cond, se)
 
 
 def verify_entropy_ordering(model: ChannelModel, cov: CovarianceMatrix,

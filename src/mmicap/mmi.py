@@ -9,7 +9,7 @@ F lies between the breakpoints rho_m and rho_{m+1}, and
 
 where c_m = (1/2) sum_{i<=m} log(lambda_i / lambda_m) is the capacity at
 rho_m.  Evaluation and inversion both use this one expression, read from the
-breakpoints and breakpoint capacities held on the spectrum.  Convolutional
+one water-filling entry (rho, c) held on the spectrum.  Convolutional
 and multilayer families reduce to it.  All values are in nats.
 """
 
@@ -136,12 +136,12 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
                 active_count):
     """One branch of the piecewise capacity in nats, elementwise over budgets
     and active counts m in [1, n_tilde]: c_m + (m/2) log1p(rise lambda_m / s),
-    rise = (F - rho_m) / m from the breakpoints held for ``(noise_var,
-    n_tilde)``.  The floor s / lambda_m is never formed (``_scaled``); past the
-    double range log1p is log(rise) + log(lambda_m) - log(s).  Raises
-    NegativeBudget unless every budget lies in [0, inf)."""
+    rise = (F - rho_m) / m, both anchors read from the entry held for
+    ``(noise_var, n_tilde)``.  The floor s / lambda_m is never formed
+    (``_scaled``); past the double range log1p is log(rise) + log(lambda_m) -
+    log(s).  Raises NegativeBudget unless every budget lies in [0, inf)."""
     budget = budgets(budget)
-    _, rho = _waterfill_state(spectrum, noise_var, n_tilde)
+    rho, capacities = _waterfill_state(spectrum, noise_var, n_tilde)
     m = np.asarray(active_count)
     if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > rho.size):
         raise IndexOutOfRange(f"active count {active_count} not an integer in [1, {rho.size}]")
@@ -151,7 +151,7 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
         ratio = _scaled(rise, eigenvalue, noise_var)
         grown = np.where(np.isfinite(ratio), np.log1p(ratio),
                          np.log(rise) + np.log(eigenvalue) - math.log(noise_var))
-    nats = spectrum.breakpoint_capacities[m - 1] + 0.5 * m * grown
+    nats = capacities[m - 1] + 0.5 * m * grown
     return float(nats) if np.ndim(nats) == 0 else nats
 
 
@@ -223,8 +223,9 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     target_nats = positive(target_nats, "target_nats")
     spectrum, n_tilde, repetitions = _reduce(arch, source)
     target = target_nats / repetitions
-    m = int(np.searchsorted(spectrum.breakpoint_capacities[:n_tilde], target, side="right"))
-    rho = float(_waterfill_state(spectrum, noise_var, n_tilde)[1][m - 1])
+    rho, capacities = _waterfill_state(spectrum, noise_var, n_tilde)
+    m = int(np.searchsorted(capacities[:n_tilde], target, side="right"))
+    rho = float(rho[m - 1])
     if rho == math.inf:
         raise NumericalOverflow(f"the budget for {target_nats} nats passes the double range")
     dense = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))

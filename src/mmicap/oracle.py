@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InfeasibleFactorization, MmicapError, budgets, finite,
-                     fits, positive)
+from .errors import (DimensionMismatch, InfeasibleFactorization, MmicapError,
+                     NumericalOverflow, budgets, finite, fits, positive)
 from .mmi import MultiLayer
 from .spectrum import (
     BlockCovariance,
@@ -87,19 +87,23 @@ class OptimizeResult:
     nats: float
     converged: bool
     iterations: int
-    grad_norm: float
 
 
 def _mi_value(w: np.ndarray, cov: np.ndarray, noise_var: float):
-    """Lower Cholesky factor of Id + W C W^T / s along with the MI in nats."""
+    """Lower Cholesky factor of Id + W C W^T / s along with the MI in nats; callers
+    turn overflow warnings off, as NumericalOverflow reports a non-finite W C W^T / s."""
     m = np.eye(w.shape[0]) + (w @ cov @ w.T) / noise_var
     m = 0.5 * (m + m.T)
     try:
         factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
-        # Id + PSD is positive definite; a failed pivot is a numerics bug.
+        # Id + PSD is positive definite; a failed pivot is an overflow or a numerics bug.
+        if not np.all(np.isfinite(m)):
+            raise NumericalOverflow("W C W^T / noise_var passes the double range") from exc
         raise MmicapError(f"positive-definite factorization failed: {exc}") from exc
     nats = float(np.sum(np.log(np.diag(factor))))
+    if not math.isfinite(nats):  # a non-finite m, as its factor is finite otherwise
+        raise NumericalOverflow("W C W^T / noise_var passes the double range")
     return factor, nats
 
 
@@ -111,7 +115,8 @@ def exact_linear_mi(weights: WeightMatrix, cov: CovarianceMatrix,
     """
     noise_var = positive(noise_var, "noise_var")
     fits(weights, cov)
-    return _mi_value(weights.entries, cov.entries, noise_var)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mi_value(weights.entries, cov.entries, noise_var)[1]
 
 
 def _gradient(w: np.ndarray, factor, cov: np.ndarray, noise_var: float) -> np.ndarray:
@@ -209,7 +214,7 @@ def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.
 def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             config: OptimizerConfig):
     """One trust-region Newton run on the exact MI against ``cov`` from ``w``
-    on the budget sphere; returns (w, nats, converged, iters, grad_norm).
+    on the budget sphere; returns (w, nats, converged, iters).
 
     Each step solves the quadratic model of the MI restricted to the
     horizontal space (``_horizontal_basis``) exactly inside the trust radius
@@ -223,7 +228,6 @@ def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
     factor, value = _mi_value(w, cov, noise_var)
     max_radius = math.sqrt(budget)
     radius = STEP_SIZE * max_radius
-    grad_norm = np.inf
     moved = True
     for iterations in range(config.max_iters):
         if moved:
@@ -232,7 +236,7 @@ def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             grad_norm = math.sqrt(np.sum((grad - radial * w) ** 2))
             basis = _horizontal_basis(w)
             if grad_norm <= TOLERANCE or basis.shape[1] == 0:
-                return w, value, True, iterations, grad_norm
+                return w, value, True, iterations
             hess = basis.T @ _hessian(w, grad, factor, cov, noise_var) @ basis
             hess.flat[::hess.shape[0] + 1] -= radial
             slope = basis.T @ grad.ravel()
@@ -252,8 +256,8 @@ def _ascend(w: np.ndarray, budget: float, cov: np.ndarray, noise_var: float,
             w, value, factor = candidate, cand_value, cand_factor
         elif radius < np.finfo(float).eps * max_radius:
             # The model cannot predict an increase at machine precision.
-            return w, value, False, iterations + 1, grad_norm
-    return w, value, False, config.max_iters, grad_norm
+            return w, value, False, iterations + 1
+    return w, value, False, config.max_iters
 
 
 def _multistart(hidden_dim: int, budget: float, cov: np.ndarray, noise_var: float,
@@ -267,11 +271,14 @@ def _multistart(hidden_dim: int, budget: float, cov: np.ndarray, noise_var: floa
     runs = []
     for restart in range(config.restarts if budget > 0.0 else 0):
         w0 = np.random.default_rng([config.seed, restart]).standard_normal(shape)
-        runs.append(_ascend(w0 * np.sqrt(budget / np.sum(w0 * w0)), budget, cov,
-                            noise_var, config))
-    w, nats, converged, iterations, grad_norm = max(
-        runs, key=lambda run: run[1], default=(np.zeros(shape), 0.0, True, 0, 0.0))
-    return OptimizeResult(WeightMatrix(w), nats, converged, iterations, grad_norm)
+        scale = math.sqrt(budget / float(np.sum(w0 * w0)))
+        if scale == math.inf:
+            raise NumericalOverflow(f"the start point for budget {budget} passes the double range")
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(_ascend(w0 * scale, budget, cov, noise_var, config))
+    w, nats, converged, iterations = max(
+        runs, key=lambda run: run[1], default=(np.zeros(shape), 0.0, True, 0))
+    return OptimizeResult(WeightMatrix(w), nats, converged, iterations)
 
 
 def maximize_mi(budget: float, cov: CovarianceMatrix, noise_var: float,
@@ -298,10 +305,10 @@ def maximize_mi_conv(budget: float, block: BlockCovariance, num_filters: int,
 
     The input covariance is block-diagonal, so the full-channel MI of a tiled
     filter is repetitions times its MI on one block: the ascent runs on one
-    block (``iterations`` and ``grad_norm`` are block-level), and only the
-    winning filter is tiled and scored on the full channel.  The budget
-    constrains the filter itself.  Returned weights are the
-    num_filters x block_size filter; ``nats`` is the full-channel MI.
+    block (``iterations`` is block-level), and only the winning filter is
+    tiled and scored on the full channel.  The budget constrains the filter
+    itself.  Returned weights are the num_filters x block_size filter;
+    ``nats`` is the full-channel MI.
     """
     num_filters = positive(num_filters, "num_filters", integer=True, error=DimensionMismatch)
     best = _multistart(num_filters, budget, block.block.entries, noise_var, config)

@@ -48,14 +48,10 @@ class Spectrum:
     """Strictly positive covariance eigenvalues, sorted descending.
 
     Component indices are 1-based in every user-facing API (index 1 is the
-    largest eigenvalue).  Everything held on a spectrum is read-only:
-
-    - on first use, the capacities at the breakpoints, which every closed-form
-      branch reads;
-    - the water-filling state of the last ``(noise_var, n_tilde)`` asked for,
-      one tuple ``(noise_var, n_tilde, floors, rho)`` of two scalars and two
-      plain arrays, replaced when another key is asked for
-      (``waterfill.breakpoints``).
+    largest eigenvalue).  The spectrum holds one read-only entry, the
+    water-filling state of the last ``(noise_var, n_tilde)`` asked for: the
+    tuple ``(noise_var, n_tilde, rho, c)`` of the breakpoints and the
+    breakpoint capacities (``waterfill._waterfill_state``).
 
     Equality and hashing are by identity, as for every array-holding type of
     the package.
@@ -82,29 +78,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    @cached_property
-    def breakpoint_capacities(self) -> np.ndarray:
-        """Dense capacity at the k-th breakpoint, k = 1..n, in nats.
-
-        With the water level at s / lambda_k the capacity is
-        c_k = (1/2) sum_{i<=k} log(lambda_i / lambda_k), whatever the noise
-        variance s.  Built as c_1 = 0, c_{k+1} = c_k + (k/2) log1p(g_k) over the
-        gaps g_k = (lambda_k - lambda_{k+1}) / lambda_{k+1}, exact inside a
-        cluster (log lambda_k - log lambda_{k+1} where g_k passes the double
-        range).  The increments are non-negative, so the sequence is
-        non-decreasing bit-for-bit.
-        """
-        vals = self.values
-        with np.errstate(over="ignore"):
-            gaps = (vals[:-1] - vals[1:]) / vals[1:]
-        logs = np.log(vals)
-        steps = np.arange(1, len(self)) * np.where(
-            np.isfinite(gaps), np.log1p(gaps), logs[:-1] - logs[1:])
-        out = np.zeros(len(self))
-        out[1:] = 0.5 * np.cumsum(steps, dtype=np.longdouble)
-        out.flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,7 +64,8 @@ def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
     """Explicit bound on the MI gap between relu and linear channels.
 
     4 d |log 2d| + 2 d |log M| + 2 h2(d) with M = max(1, (2 pi s)^(-N/2)),
-    valid for total variation d in [0, 1/e); h2 is the binary entropy.
+    valid for total variation d in [0, 1/e); h2 is the binary entropy.  log M
+    is formed directly, so M itself may pass the double range.
     """
     if not 0.0 <= delta < _INV_E:
         raise DeltaOutOfRange(f"delta must lie in [0, 1/e), got {delta}")
@@ -72,11 +73,9 @@ def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
     hidden_dim = positive(hidden_dim, "hidden_dim", integer=True, error=DimensionMismatch)
     if delta == 0.0:
         return 0.0
-    m_const = max(1.0, (2.0 * math.pi * noise_var) ** (-0.5 * hidden_dim))
+    log_m = max(0.0, -0.5 * hidden_dim * math.log(2.0 * math.pi * noise_var))
     h2 = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
-    return (4.0 * delta * abs(math.log(2.0 * delta))
-            + 2.0 * delta * abs(math.log(m_const))
-            + 2.0 * h2)
+    return 4.0 * delta * abs(math.log(2.0 * delta)) + 2.0 * delta * log_m + 2.0 * h2
 
 
 def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,

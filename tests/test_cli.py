@@ -308,6 +308,18 @@ class TestFileSources:
                                 "--spectrum", "file:/nonexistent.csv", "--F", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--config", "{path}"],
+        ["mmi", "--arch", "fc:2,2", "--F", "1", "--spectrum", "file:{path}"],
+    ], ids=["verify-config", "mmi-spectrum"])
+    def test_deeply_nested_json_exits_2_naming_it(self, tmp_path, capsys, args):
+        # 5,000 nested arrays pass the decoder's recursion limit in a 10 KB file
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        code, out, err = run_cli([arg.format(path=path) for arg in args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
 
 class TestCmdVerify:
     def test_passes_and_reports(self, capsys):

@@ -252,6 +252,21 @@ class TestGBound:
                     + 2 * (-delta * math.log(delta) - 0.95 * math.log(0.95)))
         assert g_bound(delta, noise_var, dim) == pytest.approx(expected, rel=1e-12)
 
+    def test_wide_layer_past_the_double_range_of_m(self):
+        # M = (2 pi 1e-3)^(-200) passes the double range; log M does not
+        delta = 0.1
+        log_m = 200.0 * (3.0 * math.log(10.0) - math.log(2.0 * math.pi))
+        expected = (4 * delta * abs(math.log(2 * delta)) + 2 * delta * log_m
+                    + 2 * (-delta * math.log(delta) - 0.9 * math.log(0.9)))
+        assert g_bound(delta, 1e-3, 400) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("noise_var", [1.0 / (2.0 * math.pi), 0.5, 1.0, 1e300])
+    def test_m_is_one_once_noise_reaches_1_over_2_pi(self, noise_var):
+        delta = 0.05
+        h2 = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
+        assert g_bound(delta, noise_var, 400) == \
+            4.0 * delta * abs(math.log(2.0 * delta)) + 2.0 * h2
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DeltaOutOfRange):
             g_bound(0.4, 1.0, 1)

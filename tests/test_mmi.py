@@ -30,6 +30,7 @@ from mmicap import (
     mmi_formula,
     model_spectrum,
 )
+from mmicap import waterfill
 
 TWO_ONE = model_spectrum("explicit", values=[2.0, 1.0])
 FULL_BUDGET_NATS = math.log(2.0) + 0.5 * math.log(2.0)       # 1.0397207708399179
@@ -39,6 +40,11 @@ SMALL_BUDGET_NATS = 0.5 * math.log(1.5)                      # 0.202732554054082
 def random_spectrum(rng, size, lo=1e-3, hi=1e3):
     return model_spectrum("explicit", values=np.exp(
         rng.uniform(np.log(lo), np.log(hi), size=size)))
+
+
+def capacities(spec):
+    """The breakpoint capacities held on ``spec``, which no noise variance changes."""
+    return waterfill._waterfill_state(spec, 1.0, len(spec))[1]
 
 
 def test_grid_results_compare_by_identity():
@@ -136,9 +142,9 @@ class TestBreakpointAgreement:
 
     def test_a_1e_9_error_in_the_breakpoint_capacities_fails_the_check(self, monkeypatch):
         from mmicap import verify
-        exact = Spectrum.breakpoint_capacities.func
-        monkeypatch.setattr(Spectrum, "breakpoint_capacities", property(
-            lambda self: np.append(0.0, exact(self)[1:] * (1.0 + 1e-9))))
+        exact = waterfill._capacities
+        monkeypatch.setattr(waterfill, "_capacities",
+                            lambda values: np.append(0.0, exact(values)[1:] * (1.0 + 1e-9)))
         report = verify._check_breakpoint_agreement(0)
         assert report["pass"] is False and report["max_abs_gap"] > 1e-9
 
@@ -291,7 +297,7 @@ class TestCurveAndInversion:
         # 1e3 nats needs F ~ e^1000 on [2, 1]; on exp(-0.1 i) at n = 7098 the
         # breakpoints from rho_7011 on are held as inf
         wide = model_spectrum("exp_decay", 7098, rate=0.1)
-        c_7011 = float(wide.breakpoint_capacities[7010])
+        c_7011 = float(capacities(wide)[7010])
         cases = [(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1e3),
                  (ArchitectureSpec(FullyConnected(7098, 7098)), wide, c_7011),
                  (ArchitectureSpec(FullyConnected(7098, 7098)), wide, 2.0 * c_7011)]
@@ -477,7 +483,7 @@ class TestClosedFormInversion:
     def test_breakpoint_capacities_match_evaluate(self):
         rng = np.random.default_rng(36)
         spec, arch = random_spectrum(rng, 30), ArchitectureSpec(FullyConnected(30, 30))
-        c = spec.breakpoint_capacities
+        c = capacities(spec)
         for noise_var in (1e-3, 1.0, 1e3):
             at_rho = evaluate(arch, spec, noise_var, breakpoints(spec, noise_var, 30))
             assert c[0] == at_rho.nats[0] == 0.0
@@ -489,7 +495,7 @@ class TestClosedFormInversion:
         spec, arch = random_spectrum(rng, 15), ArchitectureSpec(FullyConnected(15, 15))
         rho = breakpoints(spec, noise_var, 15)
         for k in range(1, 15):
-            budget = invert_mmi(arch, spec, noise_var, float(spec.breakpoint_capacities[k]))
+            budget = invert_mmi(arch, spec, noise_var, float(capacities(spec)[k]))
             assert budget == pytest.approx(rho[k], rel=1e-12, abs=0.0)
 
     def test_one_scalar_evaluate_on_a_wide_fc_and_on_conv(self, monkeypatch):

@@ -12,6 +12,7 @@ import mmicap
 from mmicap import (
     ArchitectureSpec,
     BlockCovariance,
+    ChannelModel,
     ConfigError,
     Convolutional,
     CovarianceMatrix,
@@ -21,6 +22,8 @@ from mmicap import (
     MCConfig,
     MmicapError,
     NegativeBudget,
+    NotPositiveDefinite,
+    NumericalOverflow,
     OptimizerConfig,
     Spectrum,
     WeightMatrix,
@@ -37,8 +40,10 @@ from mmicap import (
     maximize_mi,
     maximize_mi_conv,
     relu_channel,
+    sample_gaussian_inputs,
     tile_filter,
     verify_entropy_ordering,
+    verify_relu_theorem,
 )
 from mmicap import oracle
 
@@ -309,7 +314,7 @@ class TestHessian:
         w = random_weights_on_sphere(np.random.default_rng(32), 5, 1, 2.0).entries
         assert oracle._horizontal_basis(w).shape[1] == 0
         monkeypatch.setattr(oracle, "TOLERANCE", 1e-300)
-        _, nats, converged, iterations, _ = oracle._ascend(
+        _, nats, converged, iterations = oracle._ascend(
             w, 2.0, np.array([[1.5]]), 1.0, OptimizerConfig())
         assert converged and iterations == 0
         assert nats == pytest.approx(0.5 * math.log1p(3.0), abs=1e-15)
@@ -530,6 +535,20 @@ EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
     (lambda: tile_filter(np.eye(2), 0), DimensionMismatch),
     (lambda: tile_filter(np.eye(2), -1), DimensionMismatch),
     (lambda: tile_filter(np.eye(2), 2.0), DimensionMismatch),
+    (lambda: ChannelModel(EYE, np.zeros(3), 1.0), ConfigError),
+    (lambda: ChannelModel(EYE, np.zeros(2), 1.0, "sigmoid"), ConfigError),
+    (lambda: sample_gaussian_inputs(CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]]), 4, 0),
+     NotPositiveDefinite),
+    (lambda: verify_entropy_ordering(linear_channel(EYE, np.zeros(2), 1.0), EYE_COV,
+                                     FEW_DRAWS), ConfigError),
+    (lambda: WeightMatrix([1.0, 2.0]), DimensionMismatch),
+    (lambda: verify_relu_theorem(1.0, EYE_COV, 1.0, 2, [4.0, 2.0], FEW_DRAWS), ConfigError),
+    (lambda: exact_linear_mi(WeightMatrix([[1e200]]), CovarianceMatrix([[1.0]]), 1.0),
+     NumericalOverflow),
+    (lambda: exact_linear_mi(WeightMatrix([[1e200, 0.0]]), EYE_COV, 1e-300), NumericalOverflow),
+    (lambda: maximize_mi(1e308, CovarianceMatrix([[1.0]]), 1.0, 1, ONE_RUN), NumericalOverflow),
+    (lambda: maximize_mi(1e300, CovarianceMatrix([[1.0]]), 1e-10, 1, ONE_RUN),
+     NumericalOverflow),
 ], ids=["negative-noise", "nan-noise", "nan-budget", "inf-budget", "negative-budget",
         "array-budget", "float-hidden-dim", "conv-nan-noise", "zero-filters", "float-filters",
         "exact-nan-noise", "exact-inf-noise", "exact-negative-noise", "weights-float-hidden",
@@ -538,11 +557,25 @@ EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
         "string-weights", "bool-weights", "exact-bool-noise", "exact-dim-mismatch",
         "entropy-dim-mismatch", "mi-dim-mismatch", "ordering-dim-mismatch",
         "delta-bound-dim-mismatch", "tile-nan-filter", "tile-string-filter", "tile-zero-reps",
-        "tile-negative-reps", "tile-float-reps"])
+        "tile-negative-reps", "tile-float-reps", "bias-length", "unknown-activation",
+        "sampling-indefinite-cov", "ordering-linear-channel", "one-dim-weights",
+        "descending-bias-scales", "exact-overflow", "exact-overflow-in-division",
+        "ascent-start-overflow", "ascent-overflow"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(MmicapError) as caught:
         call()
     assert type(caught.value) is error
+
+
+def test_ascent_out_of_iterations_reports_not_converged():
+    result = maximize_mi(2.0, DIAG, 0.5, 2, OptimizerConfig(max_iters=1, restarts=1))
+    assert result.converged is False and result.iterations == 1
+
+
+def test_finite_oracle_results_near_the_double_range_are_unchanged():
+    # the overflow checks read only results that are non-finite today
+    weights = WeightMatrix([[1e150]])
+    assert exact_linear_mi(weights, CovarianceMatrix([[1.0]]), 1.0) == math.log(1e150)
 
 
 def test_numpy_scalars_give_the_python_number_results():
@@ -592,7 +625,6 @@ def test_runtime_imports_no_scipy():
 
 #: Exports that no module, README line or benchmark reads, each kept for its reason.
 UNREAD_EXPORTS = {
-    "estimate_entropy": "the estimator the Monte-Carlo tests rest on",
     "factor_check_multilayer": "the K-layer oracle that a planned verify check calls",
 }
 

@@ -1,9 +1,11 @@
 """Water-filling: breakpoints, regime lookup, and the allocation solver."""
 
+import ast
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from mmicap import (
     regime,
     solve_waterfill,
 )
+import mmicap
 from mmicap import waterfill
 from mmicap.errors import budgets
 
@@ -399,16 +402,16 @@ def test_breakpoints_past_the_double_range_are_held_not_read():
     assert evaluate(arch, spectrum, 1.0, budget).nats == pytest.approx(5.0, abs=1e-12)
 
 
-def count_computes(monkeypatch):
-    """Count the fresh computations of the water-filling state."""
+def count_computes(monkeypatch, name="_breakpoints"):
+    """Count the fresh computations of one part of the water-filling state."""
     calls = []
-    compute = waterfill._floors_and_breakpoints
+    compute = getattr(waterfill, name)
 
     def spy(*args):
         calls.append(args[1:])
         return compute(*args)
 
-    monkeypatch.setattr(waterfill, "_floors_and_breakpoints", spy)
+    monkeypatch.setattr(waterfill, name, spy)
     return calls
 
 
@@ -449,10 +452,10 @@ class TestHeldState:
         first = breakpoints(spec, 1.0, 30)
         assert breakpoints(spec, 1.0, 30) is first
         assert len(calls) == 1
+        capacities = spec._waterfill[3]
         other = breakpoints(spec, 2.0, 30)
-        noise_var, n_tilde, floors, bp = spec._waterfill
-        assert (noise_var, n_tilde) == (2.0, 30) and bp is other
-        np.testing.assert_array_equal(floors, 2.0 / spec.values)
+        noise_var, n_tilde, bp, c = spec._waterfill
+        assert (noise_var, n_tilde) == (2.0, 30) and bp is other and c is capacities
         breakpoints(spec, 2.0, 12)
         assert spec._waterfill[:2] == (2.0, 12)
         # the first key was dropped, so asking for it again computes it again
@@ -480,6 +483,21 @@ class TestHeldState:
         assert spec._waterfill is entry
         assert breakpoints(spec, 1.0, 3) is held
 
+    def test_capacities_are_computed_once_across_noise_variances(self, monkeypatch):
+        rho_calls = count_computes(monkeypatch)
+        c_calls = count_computes(monkeypatch, "_capacities")
+        spec = model_spectrum("exp_decay", 50, rate=0.1)
+        arch = ArchitectureSpec(FullyConnected(50, 20))
+        held = []
+        for noise_var in (0.5, 2.0) * 3:
+            evaluate(arch, spec, noise_var, [0.1, 5.0])
+            invert_mmi(arch, spec, noise_var, 3.0)
+            held.append(spec._waterfill[3])
+        # built once at full length, though the bottleneck reads 20 of them
+        assert len(c_calls) == 1 and held[0].size == 50
+        assert rho_calls == [(0.5, 20), (2.0, 20)] * 3
+        assert all(c is held[0] for c in held)
+
     def test_a_failing_first_call_holds_nothing(self):
         spec = model_spectrum("explicit", values=[4.0, 2.0, 1e-3])
         with pytest.raises(IndexOutOfRange):
@@ -489,8 +507,8 @@ class TestHeldState:
     def test_held_arrays_are_read_only(self):
         spec = model_spectrum("harmonic", 8)
         solve_waterfill(1.0, spec, 0.5, 8)
-        _, _, floors, bp = spec._waterfill
-        for held in (floors, bp):
+        _, _, bp, c = spec._waterfill
+        for held in (bp, c):
             assert not held.flags.writeable
             with pytest.raises(ValueError):
                 held[0] = 1.0
@@ -555,3 +573,16 @@ class TestStateIsComputedOnce:
         for budget in np.geomspace(1e-2, 1e2, 24):
             build_optimal_weights(float(budget), dec, 0.3, 12)
         assert calls == [(0.3, 12)]
+
+
+def test_the_held_entry_has_one_owner():
+    # rho and the breakpoint capacities live in one entry that only waterfill.py
+    # reads or writes; spectrum.py declares its field, and nothing else names it
+    root = Path(mmicap.__file__).resolve().parent
+    owners = {"spectrum.py", "waterfill.py"}
+    for path in sorted(root.glob("*.py")) + sorted((root.parents[1] / "benchmarks").glob("*.py")):
+        named = {node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if "_waterfill" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "value", None))}
+        assert path.name in owners or not named, (path.name, sorted(named))
+    assert not hasattr(Spectrum, "breakpoint_capacities")
