@@ -8,12 +8,11 @@ mixture centres come from independent substreams of one seed, which keeps
 the plug-in bias one-sided and the estimates reproducible bit-for-bit.
 
 The density evaluation splits its points into chunks of fixed boundaries.
-Each call hands one task per worker to a process-wide pool; the workers pull
-chunk indices from one shared counter until none is left, and compute each
-chunk in one chunk-sized buffer of their own.  The worker count is capped by
-the MMI_THREADS environment variable (0 or unset: up to 4, no more than the
-usable CPUs; over MAX_THREADS, 64, raises ConfigError).  Each chunk writes its
-own slice of the result, so results do not depend on the thread count.
+The calling thread and the threads it starts for one call, at most MMI_THREADS
+in all (0 or unset: up to 4, no more than the usable CPUs; over MAX_THREADS,
+64, raises ConfigError), claim chunks from one shared counter until none is
+left; every thread is joined before the call returns.  Each chunk writes its own
+slice of the result, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, NotPositiveDefinite, NumericalUnderflow, finite, fits, positive
+from .errors import (ConfigError, NotPositiveDefinite, NumericalOverflow, NumericalUnderflow,
+                     finite, fits, positive)
 from .spectrum import CovarianceMatrix
 
 if TYPE_CHECKING:
@@ -39,23 +38,8 @@ if TYPE_CHECKING:
 #: flat at one chunk per worker.
 _CHUNK_ELEMENTS = 1 << 17
 
-MAX_THREADS = 64  #: MMI_THREADS ceiling: the pool starts up to one OS thread per chunk
+MAX_THREADS = 64  #: MMI_THREADS ceiling: a call starts at most MMI_THREADS - 1 threads
 
-#: Worker pools by thread count, shared by every call in the process.
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _forget_pools() -> None:
-    # A forked child inherits the pools but not their threads: work sent to
-    # them would never run.
-    global _POOLS_LOCK
-    _POOLS.clear()
-    _POOLS_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
 
 def _tanh_log_deriv(a: np.ndarray) -> np.ndarray:
     # log(1 - tanh(a)^2) = 2 (log 2 - |a| - log1p(exp(-2|a|))), stable for large |a|
@@ -92,7 +76,8 @@ class ChannelModel:
         return self.weights.hidden_dim
 
     def preactivation(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weights.entries.T + self.bias
+        with np.errstate(over="ignore", invalid="ignore"):  # the density kernel checks it
+            return x @ self.weights.entries.T + self.bias
 
     def mean(self, x: np.ndarray) -> np.ndarray:
         """Conditional mean of the noisy variable given inputs ``x``."""
@@ -162,16 +147,6 @@ def _thread_count() -> int:
     return n
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide worker pool for ``threads`` workers, made on first use."""
-    with _POOLS_LOCK:
-        pool = _POOLS.get(threads)
-        if pool is None:
-            pool = _POOLS[threads] = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix=f"mmicap-mc-{threads}")
-        return pool
-
-
 def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
                          noise_var: float) -> np.ndarray:
     """Log density of the uniform Gaussian mixture at each point.
@@ -185,52 +160,64 @@ def _mixture_log_density(points: np.ndarray, centres: np.ndarray,
     distance from the origin.  Each exponent is non-positive up to that
     rounding (a few ulps of |p|^2/(2 s)), so the sum of exponentials cannot
     overflow and needs no max-stabilization; a zero sum means every
-    component underflowed, which raises NumericalUnderflow.
-    Chunk boundaries are fixed.  At most one task per worker goes to the
-    pool: each claims chunk indices from one shared counter until they run
-    out, computes every chunk it claims in its own reused buffer, and writes
-    that chunk's own slice of a preallocated array, so the result is
-    identical regardless of how many worker threads run.  The call waits for
-    every worker before it returns or raises.
+    component underflowed, which raises NumericalUnderflow.  No partial sum
+    of an exponent's terms passes (sqrt(max |p|^2/(2 s)) + sqrt(max |c|^2/(2 s)))^2
+    up to rounding; unless that stays within the largest double and the rows
+    are finite, NumericalOverflow is raised before any thread starts.
+    Chunk boundaries are fixed.  The call starts min(MMI_THREADS, chunks) - 1
+    threads and works in its own thread too; each worker claims chunks from
+    one shared counter, computes them in its own reused buffer and writes
+    each chunk's own slice of the result.  Every thread is joined before the
+    call returns or raises the first error a worker caught.
     """
     n_points, dim = points.shape
     n_centres = centres.shape[0]
-    origin = centres.mean(axis=0)
-    points = points - origin
-    centres = centres - origin
-    lhs = np.empty((n_points, dim + 2))
-    lhs[:, :dim] = points / noise_var
-    lhs[:, dim] = -0.5 * np.einsum("ij,ij->i", points, points) / noise_var
-    lhs[:, dim + 1] = 1.0
-    rhs = np.empty((dim + 2, n_centres))
-    rhs[:dim] = centres.T
-    rhs[dim] = 1.0
-    rhs[dim + 1] = -0.5 * np.einsum("ij,ij->i", centres, centres) / noise_var
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        origin = centres.mean(axis=0)
+        points = points - origin
+        centres = centres - origin
+        lhs = np.empty((n_points, dim + 2))
+        lhs[:, :dim] = points / noise_var
+        lhs[:, dim] = -0.5 * np.einsum("ij,ij->i", points, points) / noise_var
+        lhs[:, dim + 1] = 1.0
+        rhs = np.empty((dim + 2, n_centres))
+        rhs[:dim] = centres.T
+        rhs[dim] = 1.0
+        rhs[dim + 1] = -0.5 * np.einsum("ij,ij->i", centres, centres) / noise_var
+    reach = math.sqrt(-lhs[:, dim].min()) + math.sqrt(-rhs[dim + 1].min())
+    if not (reach * reach <= np.finfo(np.float64).max and np.isfinite(lhs).all()):
+        raise NumericalOverflow(
+            "channel means or their squared norms pass the double range in the mixture density")
     sums = np.empty(n_points)
     rows = max(1, _CHUNK_ELEMENTS // n_centres)
     chunks = -(-n_points // rows)
     next_chunk = itertools.count().__next__  # atomic under the GIL
+    errors: list[BaseException] = []
 
     def work() -> None:
-        buf = np.empty((min(rows, n_points), n_centres))
-        while (chunk := next_chunk()) < chunks:
-            start = chunk * rows
-            stop = min(start + rows, n_points)
-            expo = np.matmul(lhs[start:stop], rhs, out=buf[:stop - start])
-            np.exp(expo, out=expo)
-            sums[start:stop] = expo.sum(axis=1)
+        try:
+            buf = np.empty((min(rows, n_points), n_centres))
+            while (chunk := next_chunk()) < chunks:
+                start = chunk * rows
+                stop = min(start + rows, n_points)
+                expo = np.matmul(lhs[start:stop], rhs, out=buf[:stop - start])
+                np.exp(expo, out=expo)
+                sums[start:stop] = expo.sum(axis=1)
+        except BaseException as exc:  # raised by the caller once every worker stops
+            errors.append(exc)
 
-    threads = _thread_count()
-    if threads > 1 and chunks > 1:
-        pool = _pool(threads)
-        tasks = [pool.submit(work) for _ in range(min(threads, chunks))]
-        # every worker stops before any error is raised, so none is still
-        # writing into sums once the call returns
-        wait(tasks)
-        for task in tasks:
-            task.result()
-    else:
+    started = []
+    try:
+        for _ in range(min(_thread_count(), chunks) - 1):
+            thread = threading.Thread(target=work, name="mmicap-mc")
+            thread.start()
+            started.append(thread)
         work()
+    finally:  # no thread is still writing into sums once the call returns or raises
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     with np.errstate(divide="ignore"):
         log_sums = np.log(sums)
     if not np.all(np.isfinite(log_sums)):

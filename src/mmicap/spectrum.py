@@ -111,8 +111,8 @@ class CovarianceMatrix:
         eigvecs = eigvecs[:, ::-1]
         if eigvals[0] <= 0.0 or eigvals[-1] <= RELATIVE_PD_FLOOR * eigvals[0]:
             raise NotPositiveDefinite(
-                f"smallest eigenvalue {eigvals[-1]:.6e} is not safely positive"
-            )
+                f"smallest eigenvalue {eigvals[-1]:.6e} is at or below RELATIVE_PD_FLOOR "
+                f"({RELATIVE_PD_FLOOR:g}) times the largest, {eigvals[0]:.6e}")
         return SpectralDecomposition(Spectrum(eigvals), _frozen_array(eigvecs))
 
 

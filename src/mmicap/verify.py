@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DeltaOutOfRange, DimensionMismatch, finite, fits, positive
+from .errors import (ConfigError, DeltaOutOfRange, DimensionMismatch, finite, fits, positive,
+                     real)
 from .mc import (
     ChannelModel,
     MCConfig,
@@ -67,6 +68,10 @@ def g_bound(delta: float, noise_var: float, hidden_dim: int) -> float:
     valid for total variation d in [0, 1/e); h2 is the binary entropy.  log M
     is formed directly, so M itself may pass the double range.
     """
+    delta = real(delta, "delta")
+    if delta.ndim:
+        raise ConfigError(f"delta must be one number, got shape {delta.shape}")
+    delta = float(delta)
     if not 0.0 <= delta < _INV_E:
         raise DeltaOutOfRange(f"delta must lie in [0, 1/e), got {delta}")
     noise_var = positive(noise_var, "noise_var")

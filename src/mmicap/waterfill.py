@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonPositiveEigenvalue, budgets, positive
+from .errors import DimensionMismatch, IndexOutOfRange, NonPositiveEigenvalue, budgets, positive
 from .spectrum import Spectrum
 
 
@@ -122,7 +122,9 @@ def solve_waterfill(budget: float, spectrum: Spectrum, noise_var: float,
     breakpoints are read from the state ``breakpoints`` holds on ``spectrum``,
     so solving at many budgets with one noise variance computes them once.
     """
-    noise_var = positive(noise_var, "noise_var")
+    budget, noise_var = budgets(budget), positive(noise_var, "noise_var")
+    if np.ndim(budget):
+        raise DimensionMismatch("solve_waterfill takes one budget, not an array")
     rho, _ = _waterfill_state(spectrum, noise_var, n_tilde)
     active = n_tilde - regime(budget, rho)
     rise = (budget - rho[active - 1]) / active

@@ -23,6 +23,7 @@ from mmicap import (
     DimensionMismatch,
     FullyConnected,
     MCConfig,
+    NumericalOverflow,
     NumericalUnderflow,
     WeightMatrix,
     bijective_channel,
@@ -267,6 +268,18 @@ class TestGBound:
         assert g_bound(delta, noise_var, 400) == \
             4.0 * delta * abs(math.log(2.0 * delta)) + 2.0 * h2
 
+    @pytest.mark.parametrize("delta, error", [
+        (False, ConfigError), (True, ConfigError), ("0.1", ConfigError), (None, ConfigError),
+        ([0.1], ConfigError), (math.nan, DeltaOutOfRange),
+    ], ids=["false", "true", "string", "none", "list", "nan"])
+    def test_delta_must_be_one_real_number(self, delta, error):
+        with pytest.raises(error):
+            g_bound(delta, 1.0, 2)
+
+    def test_numpy_delta_gives_the_python_number_result(self):
+        assert g_bound(np.float64(0.1), 1.0, 2) == g_bound(0.1, 1.0, 2)
+        assert type(g_bound(np.float64(0.1), 1.0, 2)) is float
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DeltaOutOfRange):
             g_bound(0.4, 1.0, 1)
@@ -460,6 +473,23 @@ def kernel_inputs(seed, n_points, n_centres, dim, noise_var, shift=0.0):
     return points, centres
 
 
+def kernel_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("mmicap-mc")]
+
+
+def spy_on_started_threads(monkeypatch):
+    """The names of the threads started from now on, in start order."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
 class TestKernelReference:
     @pytest.mark.parametrize("noise_var", [0.05, 1.0, 5.0])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -507,29 +537,27 @@ class TestKernelWorkers:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
 
-    def test_pool_is_reused(self, monkeypatch):
-        def workers():
-            return {t for t in threading.enumerate() if t.name.startswith("mmicap-mc-2_")}
-
-        monkeypatch.setenv("MMI_THREADS", "2")
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_no_thread_outlives_the_call(self, monkeypatch, threads):
+        started = spy_on_started_threads(monkeypatch)
+        monkeypatch.setenv("MMI_THREADS", threads)
         points, centres = kernel_inputs(51, 2000, 20_000, 2, 1.0)
-        mmicap.mc._mixture_log_density(points, centres, 1.0)
-        before, warm = threading.active_count(), workers()
-        mmicap.mc._mixture_log_density(points, centres, 1.0)
-        assert threading.active_count() == before
-        assert 1 <= len(warm) <= 2 and workers() == warm
+        for _ in range(2):
+            mmicap.mc._mixture_log_density(points, centres, 1.0)
+            assert kernel_threads() == []
+        assert started == ["mmicap-mc"] * (2 * (int(threads) - 1))
 
     def test_thread_count_read_on_every_call(self, monkeypatch):
-        requested = []
-        make_pool = mmicap.mc._pool
-        monkeypatch.setattr(mmicap.mc, "_pool",
-                            lambda threads: requested.append(threads) or make_pool(threads))
+        started = spy_on_started_threads(monkeypatch)
         rows = mmicap.mc._CHUNK_ELEMENTS // 2000
         points, centres = kernel_inputs(52, 3 * rows, 2000, 2, 1.0)
+        counts = []
         for threads in ("2", "3", "1", "2"):
             monkeypatch.setenv("MMI_THREADS", threads)
+            started.clear()
             mmicap.mc._mixture_log_density(points, centres, 1.0)
-        assert requested == [2, 3, 2]
+            counts.append(len(started))
+        assert counts == [1, 2, 0, 1]
 
     def test_bit_identical_with_remainder_chunk(self, monkeypatch):
         n_centres = 900
@@ -557,27 +585,17 @@ class TestKernelWorkers:
 
 
 class TestKernelScheduling:
-    def test_at_most_one_task_per_worker(self, monkeypatch):
-        submitted = []
-        make_pool = mmicap.mc._pool
-
-        class Spy:
-            def __init__(self, pool):
-                self.pool = pool
-
-            def submit(self, fn, *args):
-                submitted.append(fn)
-                return self.pool.submit(fn, *args)
-
-        monkeypatch.setattr(mmicap.mc, "_pool", lambda threads: Spy(make_pool(threads)))
+    def test_starts_one_thread_fewer_than_workers(self, monkeypatch):
+        # the calling thread is the last worker; one chunk starts no thread
+        started = spy_on_started_threads(monkeypatch)
         rows = mmicap.mc._CHUNK_ELEMENTS // 2000
-        for n_points, threads, tasks in ((40 * rows + 1, "2", 2), (40 * rows + 1, "3", 3),
-                                         (rows + 1, "3", 2), (rows, "3", 0)):
+        for n_points, threads, count in ((40 * rows + 1, "2", 1), (40 * rows + 1, "3", 2),
+                                         (rows + 1, "3", 1), (rows, "3", 0)):
             points, centres = kernel_inputs(56, n_points, 2000, 2, 1.0)
             monkeypatch.setenv("MMI_THREADS", threads)
-            submitted.clear()
+            started.clear()
             mmicap.mc._mixture_log_density(points, centres, 1.0)
-            assert len(submitted) == tasks
+            assert len(started) == count
 
     @pytest.mark.parametrize("n_points, n_centres", [
         (mmicap.mc._CHUNK_ELEMENTS // 900 + 1, 900),   # two chunks
@@ -650,10 +668,60 @@ class TestKernelScheduling:
         monkeypatch.setattr(np, "matmul", flaky)
         with pytest.raises(RuntimeError, match="chunk failed"):
             mmicap.mc._mixture_log_density(points, centres, 1.0)
-        assert state["running"] == 0
+        assert state["running"] == 0 and kernel_threads() == []
         calls = state["calls"]
         time.sleep(0.05)
         assert state["calls"] == calls == 12
+
+
+class TestKernelOverflow:
+    # 2000 x 2000 samples make 31 chunks: at MMI_THREADS 2 a warning or an
+    # error from a started thread would show
+    MANY = MCConfig(2000, 2000, seed=0)
+    HUGE = WeightMatrix([[1e200]])
+    ONE = CovarianceMatrix([[1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda c: estimate_mi(linear_channel(c.HUGE, [0.0], 1.0), c.ONE, c.MANY),
+        lambda c: verify_entropy_ordering(relu_channel(c.HUGE, [0.0], 1.0), c.ONE, c.MANY),
+        lambda c: estimate_mi(bijective_channel(c.HUGE, [0.0], 1.0), c.ONE, c.MANY),
+        lambda c: estimate_mi(linear_channel(WeightMatrix([[1e308]]), [0.0], 1.0), c.ONE,
+                              c.MANY),
+        lambda c: estimate_entropy(linear_channel(WeightMatrix([[1.0]]), [0.0], 1e-320),
+                                   c.ONE, c.MANY),
+    ], ids=["linear-squared-norms", "relu-ordering", "tanh", "means", "tiny-noise"])
+    def test_raises_overflow_without_warning(self, monkeypatch, call):
+        assert self.MANY.n_outer > mmicap.mc._CHUNK_ELEMENTS // self.MANY.n_inner  # 2+ chunks
+        monkeypatch.setenv("MMI_THREADS", "2")
+        with pytest.raises(NumericalOverflow):
+            call(self)
+
+    @pytest.mark.filterwarnings("error")
+    def test_checked_before_any_thread_starts(self, monkeypatch):
+        started = spy_on_started_threads(monkeypatch)
+        monkeypatch.setenv("MMI_THREADS", "3")
+        points, centres = kernel_inputs(61, 2000, 2000, 2, 1.0)
+        with pytest.raises(NumericalOverflow):
+            mmicap.mc._mixture_log_density(1e160 * points, 1e160 * centres, 1.0)
+        assert started == []
+
+    def test_largest_finite_exponents_are_computed(self):
+        # centres at +-2^511: every exponent is 0 or -2^1023 exactly
+        centres = np.array([[2.0 ** 511], [-2.0 ** 511]])
+        got = mmicap.mc._mixture_log_density(centres, centres, 1.0)
+        want = -math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
+        assert got.tolist() == [want, want]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points, centres", [
+        ([[1.5 * 2.0 ** 511], [-1.5 * 2.0 ** 511]],                        # cross terms
+         [[1.5 * 2.0 ** 511], [-1.5 * 2.0 ** 511]]),
+        ([[0.0]], [[2.0 ** 520], [-2.0 ** 520]]),                           # centre norms
+    ], ids=["cross-terms", "centre-norms"])
+    def test_exponents_past_the_double_range(self, points, centres):
+        with pytest.raises(NumericalOverflow):
+            mmicap.mc._mixture_log_density(np.array(points), np.array(centres), 1.0)
 
 
 class TestThreadCount:
@@ -713,3 +781,25 @@ def test_mc_runtime_imports_are_estimator_layers_only():
     project = {name.lstrip(".").removeprefix("mmicap.") for name in names
                if name.startswith((".", "mmicap"))}
     assert project <= {"errors", "spectrum"}, project
+
+
+def test_mc_holds_no_process_wide_state():
+    # kernel workers live for one call: no pool, lock, fork hook or module-level
+    # container outlives it
+    tree = ast.parse(inspect.getsource(mmicap.mc))
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Global), node.lineno
+        names = {alias.name for alias in getattr(node, "names", [])
+                 if isinstance(alias, ast.alias)}
+        names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+        assert not names & {"ThreadPoolExecutor", "register_at_fork"}, node.lineno
+    outside_functions = list(tree.body)
+    while outside_functions:
+        node = outside_functions.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        outside_functions.extend(ast.iter_child_nodes(node))
+        containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        called = ast.unparse(node.func).rsplit(".", 1)[-1] if isinstance(node, ast.Call) else ""
+        assert not isinstance(node, containers) and called not in (
+            "dict", "list", "set", "defaultdict", "Lock", "RLock"), ast.unparse(node)

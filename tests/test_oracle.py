@@ -41,6 +41,7 @@ from mmicap import (
     maximize_mi_conv,
     relu_channel,
     sample_gaussian_inputs,
+    solve_waterfill,
     tile_filter,
     verify_entropy_ordering,
     verify_relu_theorem,
@@ -549,6 +550,10 @@ EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
     (lambda: maximize_mi(1e308, CovarianceMatrix([[1.0]]), 1.0, 1, ONE_RUN), NumericalOverflow),
     (lambda: maximize_mi(1e300, CovarianceMatrix([[1.0]]), 1e-10, 1, ONE_RUN),
      NumericalOverflow),
+    (lambda: solve_waterfill(np.array([1.0, 2.0]), Spectrum([2.0, 1.0]), 1.0, 2),
+     DimensionMismatch),
+    (lambda: build_optimal_weights(np.array([1.0, 2.0]), decompose_covariance(DIAG), 1.0, 2),
+     DimensionMismatch),
 ], ids=["negative-noise", "nan-noise", "nan-budget", "inf-budget", "negative-budget",
         "array-budget", "float-hidden-dim", "conv-nan-noise", "zero-filters", "float-filters",
         "exact-nan-noise", "exact-inf-noise", "exact-negative-noise", "weights-float-hidden",
@@ -560,7 +565,8 @@ EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
         "tile-negative-reps", "tile-float-reps", "bias-length", "unknown-activation",
         "sampling-indefinite-cov", "ordering-linear-channel", "one-dim-weights",
         "descending-bias-scales", "exact-overflow", "exact-overflow-in-division",
-        "ascent-start-overflow", "ascent-overflow"])
+        "ascent-start-overflow", "ascent-overflow", "waterfill-array-budget",
+        "weights-array-budget"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(MmicapError) as caught:
         call()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ class TestEigvalsFromCovariance:
     def test_near_singular_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             decompose_covariance(CovarianceMatrix(np.diag([1.0, 1e-14]))).spectrum
+
+    def test_error_names_the_relative_floor(self):
+        # the spectrum list:1e300,1 is a valid Spectrum but not a covariance
+        with pytest.raises(NotPositiveDefinite, match=re.escape(
+                "smallest eigenvalue 1.000000e+00 is at or below RELATIVE_PD_FLOOR (1e-12) "
+                "times the largest, 1.000000e+300")):
+            decompose_covariance(CovarianceMatrix(np.diag([1e300, 1.0])))
 
 
 class TestDecompositionIsHeld:
