@@ -27,8 +27,7 @@ import numpy as np
 from .errors import ConfigError, MmicapError, NumericalOverflow, finite, positive
 from .mmi import (ArchitectureSpec, Convolutional, FullyConnected, MultiLayer, evaluate,
                   mmi_curve)
-from .spectrum import (SPECTRUM_KINDS, BlockCovariance, CovarianceMatrix,
-                       decompose_covariance, load_covariance_csv, model_spectrum)
+from .spectrum import SPECTRUM_KINDS, decompose_covariance, load_covariance_csv, model_spectrum
 from .verify import run_verification
 
 DEFAULTS = {"sigma2": 1.0, "units": "nats", "out": "json", "seed": 0}
@@ -45,7 +44,7 @@ FIGURE1 = {
 ARCH_DIMS = {"fc": ("n0", "n1"), "conv": ("n0", "block", "filters")}
 
 #: Most elements of any array a run builds from its settings: the spectrum
-#: length for fc and mlp, block^2 for conv, the F_grid count.
+#: length or the F_grid count.
 MAX_ELEMENTS = 10**7
 
 UNITS = ("nats", "bits")
@@ -188,31 +187,25 @@ def _build_arch(doc) -> ArchitectureSpec:
 
 
 def _build_source(doc, arch: ArchitectureSpec):
-    """A Spectrum for fc and mlp architectures, a BlockCovariance for conv."""
+    """The Spectrum the architecture reads: of its inputs for fc, of one block for
+    conv, of any length for mlp.  A covariance CSV is decomposed to its spectrum."""
     doc = _check(doc, "spectrum (--spectrum)", dict)
-    family = arch.family
-    conv = isinstance(family, Convolutional)
     if "covariance_csv" in doc:
         cov = load_covariance_csv(_check(doc["covariance_csv"], "spectrum.covariance_csv", str))
-        if not conv:
-            return decompose_covariance(cov).spectrum
-    else:
-        kind = _check(doc.get("kind"), "spectrum.kind", SPECTRUM_KINDS)
-        n = _check(doc.get("n"), "spectrum.n", int, required=False)
-        if n is None and kind != "explicit":
-            if isinstance(family, MultiLayer):
-                raise ConfigError("spectrum: model spectra need a length 'n' under an mlp "
-                                  "architecture; use list:, file: or a config entry with 'n'")
-            n = family.block_size if conv else family.input_dim
-        if n is not None:  # a conv block spectrum becomes an n x n covariance
-            _bound(n * n if conv else n, "spectrum")
-        spectrum = model_spectrum(
-            kind, n, rate=_check(doc.get("rate"), "spectrum.rate", float, required=False),
-            values=_check(doc.get("values"), "spectrum.values", [float], required=False))
-        if not conv:
-            return spectrum
-        cov = CovarianceMatrix(np.diag(spectrum.values))
-    return BlockCovariance(cov, family.repetitions)
+        return decompose_covariance(cov).spectrum
+    family = arch.family
+    kind = _check(doc.get("kind"), "spectrum.kind", SPECTRUM_KINDS)
+    n = _check(doc.get("n"), "spectrum.n", int, required=False)
+    if n is None and kind != "explicit":
+        if isinstance(family, MultiLayer):
+            raise ConfigError("spectrum: model spectra need a length 'n' under an mlp "
+                              "architecture; use list:, file: or a config entry with 'n'")
+        n = family.block_size if isinstance(family, Convolutional) else family.input_dim
+    if n is not None:
+        _bound(n, "spectrum")
+    return model_spectrum(
+        kind, n, rate=_check(doc.get("rate"), "spectrum.rate", float, required=False),
+        values=_check(doc.get("values"), "spectrum.values", [float], required=False))
 
 
 def _build_grid(spec) -> np.ndarray:
@@ -290,12 +283,11 @@ def _write_gnuplot(script_path: str, rows: list[dict], units: str) -> None:
     data_path = os.path.splitext(script_path)[0] + ".csv"
     if data_path == script_path:
         raise ConfigError(f"--gnuplot {script_path}: the script would overwrite its data")
-    with open(data_path, "w") as fh:
-        _emit(rows, {}, "csv", fh)
-    with open(script_path, "w") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write(f"set xlabel 'F'\nset ylabel 'capacity ({units})'\n")
-        fh.write(f"plot '{data_path}' skip 1 using 1:2 with lines title 'capacity'\n")
+    with open(script_path, "w") as script, open(data_path, "w") as data:
+        _emit(rows, {}, "csv", data)
+        script.write("set datafile separator ','\n")
+        script.write(f"set xlabel 'F'\nset ylabel 'capacity ({units})'\n")
+        script.write(f"plot '{data_path}' skip 1 using 1:2 with lines title 'capacity'\n")
 
 
 def cmd_breakpoints(args) -> int:

@@ -80,8 +80,12 @@ class MultiLayer:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        try:
+            widths = tuple(self.widths)
+        except TypeError:
+            raise DimensionMismatch(f"widths must be an iterable, got {self.widths!r}") from None
         widths = tuple(positive(w, f"width_{i + 1}", integer=True, error=DimensionMismatch)
-                       for i, w in enumerate(self.widths))
+                       for i, w in enumerate(widths))
         if not widths:
             raise DimensionMismatch("widths must be non-empty")
         object.__setattr__(self, "widths", widths)
@@ -156,28 +160,28 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
 
 
 def _reduce(arch: ArchitectureSpec, source) -> tuple[Spectrum, int, int]:
-    """Spectrum, bottleneck and repetition count the closed form reads: ``source``
-    is a Spectrum, or for conv a BlockCovariance whose block is decomposed here."""
+    """Spectrum, bottleneck and repetition count the closed form reads.  ``source``
+    is a Spectrum: of the inputs for fc, of one block for conv (or a BlockCovariance,
+    whose block is decomposed here), of any length for mlp."""
     family = arch.family
     if not isinstance(family, (FullyConnected, Convolutional, MultiLayer)):
         raise DimensionMismatch(f"unknown architecture family {family!r}")
-    kind = BlockCovariance if isinstance(family, Convolutional) else Spectrum
-    if not isinstance(source, kind):
-        raise DimensionMismatch(f"{type(family).__name__} architectures take a "
-                                f"{kind.__name__} source, got {type(source).__name__}")
-    if isinstance(family, Convolutional):
+    conv = isinstance(family, Convolutional)
+    if conv and isinstance(source, BlockCovariance):
         if source.input_dim != family.input_dim or source.block.dim != family.block_size:
             raise DimensionMismatch(
                 f"block covariance ({source.block.dim} x {source.repetitions}) does "
                 f"not match conv dims ({family.block_size} x {family.repetitions})")
-        return decompose_covariance(source.block).spectrum, family.bottleneck, \
-            source.repetitions
+        source = decompose_covariance(source.block).spectrum
+    if not isinstance(source, Spectrum):
+        raise DimensionMismatch(f"{type(family).__name__} architectures take a Spectrum "
+                                f"source, got {type(source).__name__}")
     if isinstance(family, MultiLayer):
         return source, family.bottleneck(len(source)), 1
-    if len(source) != family.input_dim:
-        raise DimensionMismatch(
-            f"spectrum has {len(source)} eigenvalues, input_dim is {family.input_dim}")
-    return source, family.bottleneck, 1
+    name, length = ("block_size", family.block_size) if conv else ("input_dim", family.input_dim)
+    if len(source) != length:
+        raise DimensionMismatch(f"spectrum has {len(source)} eigenvalues, {name} is {length}")
+    return source, family.bottleneck, family.repetitions if conv else 1
 
 
 def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiResult:

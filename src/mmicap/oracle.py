@@ -296,7 +296,10 @@ def maximize_mi(budget: float, cov: CovarianceMatrix, noise_var: float,
 def tile_filter(filter_matrix: np.ndarray, repetitions: int) -> np.ndarray:
     """Block-diagonal weights applying one filter to each input block."""
     repetitions = positive(repetitions, "repetitions", integer=True, error=DimensionMismatch)
-    return np.kron(np.eye(repetitions), finite(filter_matrix, "filter entries"))
+    filter_matrix = finite(filter_matrix, "filter entries")
+    if np.ndim(filter_matrix) != 2:
+        raise DimensionMismatch(f"filter must be a matrix, got shape {np.shape(filter_matrix)}")
+    return np.kron(np.eye(repetitions), filter_matrix)
 
 
 def maximize_mi_conv(budget: float, block: BlockCovariance, num_filters: int,

@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmicap.cli import main
+import mmicap
+from mmicap import (ArchitectureSpec, BlockCovariance, Convolutional, CovarianceMatrix,
+                    evaluate)
+from mmicap.cli import _quantize, main
 
 
 def run_cli(args, capsys):
@@ -184,6 +187,14 @@ class TestCmdCurve:
         assert code == 2 and out == ""
         assert err.startswith("error: --gnuplot") and not script.exists()
 
+    def test_gnuplot_directory_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        target = tmp_path / "plot"
+        target.mkdir()
+        code, out, err = run_cli(["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1",
+                                  "--F-grid", "0:2:5", "--gnuplot", str(target)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["plot"]
+
     def test_grid_required(self, capsys):
         code, _, err = run_cli(["curve", "--arch", "fc:2,2",
                                 "--spectrum", "list:2,1"], capsys)
@@ -226,7 +237,11 @@ class TestPinnedOutputBytes:
          "7071648d03176ad4a53f20de1640424100754c927011e0ee07b9cedbf6d60e2f"),
         (["breakpoints", "--arch", "fc:3,3", "--spectrum", "list:4,2,1", "--out", "csv"],
          "461a0e8243e38b757a255c45a94698c072f7c05ddbc47ee698a0980577fc6a5a"),
-    ], ids=["curve-figure1-left", "breakpoints-fc-3-3"])
+        (["curve", "--figure1", "right", "--out", "json"],
+         "66c90ce7bc821d9c1ccaf95f731db5313b2d1b9f612d971f0832da127a4a6518"),
+        (["verify", "--seed", "0"],
+         "8f8f43fef98714601c2ee8eceae8cab4de75a83524d8c3cae1ea181fa58ab207"),
+    ], ids=["curve-figure1-left", "breakpoints-fc-3-3", "curve-figure1-right", "verify-seed-0"])
     def test_stdout_sha256(self, capsys, args, digest):
         code, out, _ = run_cli(args, capsys)
         assert code == 0
@@ -484,7 +499,7 @@ class TestOversized:
     @pytest.mark.parametrize("args", [
         ["mmi", "--arch", "fc:1000000000000,2", "--spectrum", "exp:0.1", "--F", "1"],
         ["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1", "--F-grid", "0:1:1000000000"],
-        ["mmi", "--arch", "conv:2000000,1000000,2", "--spectrum", "harmonic", "--F", "1"],
+        ["mmi", "--arch", "conv:40000000,20000000,2", "--spectrum", "harmonic", "--F", "1"],
     ])
     def test_rejected_before_allocating(self, capsys, args):
         code, out, err = run_cli(args, capsys)
@@ -495,6 +510,52 @@ class TestOversized:
         code, out, _ = run_cli(["mmi", "--arch", "conv:2000000000000,2,1000000000000",
                                 "--spectrum", "list:2,1", "--F", "1"], capsys)
         assert code == 0 and parse_json(out)["rows"][0]["active_components"] == 2
+
+
+class TestConvBlockSpectrum:
+    """A conv run reads the spectrum of one block, built at block_size."""
+
+    @pytest.mark.parametrize("spectrum", ["exp:0.5", "harmonic", "list:3,2,1"])
+    def test_model_spectra_decompose_nothing(self, capsys, monkeypatch, spectrum):
+        calls = []
+        for module in (mmicap.cli, mmicap.mmi):
+            original = module.decompose_covariance
+            monkeypatch.setattr(module, "decompose_covariance",
+                                lambda cov, original=original: calls.append(cov) or original(cov))
+        code, out, _ = run_cli(["mmi", "--arch", "conv:6,3,2", "--spectrum", spectrum,
+                                "--F", "2.5"], capsys)
+        assert code == 0 and parse_json(out)["rows"][0]["bottleneck"] == 2
+        assert calls == []
+
+    def test_block_spectrum_has_no_covariance_floor(self, capsys):
+        def nats(arch):
+            code, out, _ = run_cli(["mmi", "--arch", arch, "--spectrum", "list:1e300,1",
+                                    "--F", "1"], capsys)
+            assert code == 0
+            return parse_json(out)["rows"][0]["mmi"]
+        assert nats("conv:4,2,2") == pytest.approx(2.0 * nats("fc:2,2"), rel=0.0, abs=2e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covariance_csv_matches_the_library_block(self, tmp_path, capsys, seed):
+        rng = np.random.default_rng(seed)
+        dim, reps = 5, 3
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        entries = (q * np.exp(rng.uniform(-2.0, 2.0, dim))) @ q.T
+        path = tmp_path / "cov.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in entries.tolist()))
+        block = BlockCovariance(CovarianceMatrix(entries), reps)
+        arch = ArchitectureSpec(Convolutional(dim * reps, dim, 4))
+        model = ["--arch", f"conv:{dim * reps},{dim},4", "--spectrum", f"file:{path}"]
+        code, out, _ = run_cli(["breakpoints", *model], capsys)
+        assert code == 0
+        expected = _quantize(evaluate(arch, block, 1.0, 0.0).breakpoints.tolist())
+        assert [row["breakpoint"] for row in parse_json(out)["rows"]] == expected
+        code, out, _ = run_cli(["curve", *model, "--F-grid", "0:20:50"], capsys)
+        assert code == 0
+        result = evaluate(arch, block, 1.0, np.linspace(0.0, 20.0, 50))
+        rows = parse_json(out)["rows"]
+        assert [row["mmi"] for row in rows] == _quantize(result.nats.tolist())
+        assert [row["regime_K"] for row in rows] == result.regime.tolist()
 
 
 class TestBreakpointsChecks:
@@ -628,7 +689,7 @@ NUMBER_TEXT = valid_or_not(["0", "1", "2.5", "1e-3"], ["-1", "1e-300", "1e308", 
 ARCH_TEXT = st.sampled_from(["fc:2,2", "fc:3,2", "fc:2", "fc:0,2", "fc:a,2", "conv:4,2,2",
                              "conv:6,3,2", "conv:5,2,1", "mlp:3,1", "mlp:", "rnn:2,2",
                              "fc:1000000000000,2", "fc:2,1000000000000",
-                             "conv:2000000000000,1000000,2", "conv:2000000000000,2,2",
+                             "conv:2000000000000,20000000,2", "conv:2000000000000,2,2",
                              "mlp:1000000000000,2"])
 SPECTRUM_TEXT = st.sampled_from(["list:2,1", "list:3,2,1", "list:1,1e-310", "list:nan,1",
                                  "list:0,1", "list:", "exp:0.5", "exp:nan", "exp:-1", "exp:",

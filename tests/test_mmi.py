@@ -221,6 +221,31 @@ class TestMmiConv:
             assert conv.nats == reps * fc.nats  # exact, same expression scaled
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_covariance_and_its_spectrum_agree_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, reps = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        entries = rotated_block(rng, np.exp(rng.uniform(-3.0, 3.0, dim)), reps).block.entries
+        # separate covariances, so the two sources hold separate water-filling state
+        block = BlockCovariance(CovarianceMatrix(entries), reps)
+        spectrum = decompose_covariance(CovarianceMatrix(entries)).spectrum
+        arch = ArchitectureSpec(Convolutional(dim * reps, dim, int(rng.integers(1, dim + 2))))
+        grid = np.linspace(0.0, 20.0, 60)
+        a, b = evaluate(arch, block, 0.7, grid), evaluate(arch, spectrum, 0.7, grid)
+        for field in ("nats", "regime", "active_components", "breakpoints"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert mmi_curve(arch, block, 0.7, grid) == mmi_curve(arch, spectrum, 0.7, grid)
+        for target in a.nats[1::7].tolist():
+            assert invert_mmi(arch, block, 0.7, target) == invert_mmi(arch, spectrum, 0.7, target)
+
+    def test_block_spectrum_reads_no_covariance(self):
+        # no covariance floor: the block spectrum is read as given
+        spectrum = Spectrum([1e300, 1.0])
+        conv = evaluate(CONV_4_2_2, spectrum, 1.0, 1.0)
+        fc = evaluate(ArchitectureSpec(FullyConnected(2, 2)), spectrum, 1.0, 1.0)
+        assert conv.nats == 2.0 * fc.nats == pytest.approx(690.775528, rel=1e-9)
+
+
 class TestMmiMultilayer:
     def test_bottleneck_rule(self):
         rng = np.random.default_rng(14)
@@ -315,6 +340,7 @@ class TestArchitectureSpec:
         assert FullyConnected(100, 50).bottleneck == 50
         assert Convolutional(6, 3, 2).bottleneck == 2
         assert MultiLayer((50, 3, 50)).bottleneck(100) == 3
+        assert MultiLayer(iter([2, 1])).widths == MultiLayer([2, 1]).widths == (2, 1)
 
 
 def rotated_block(rng, values, repetitions):
@@ -540,7 +566,7 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: invert_mmi(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, -1.0),
      ValueError),
     (lambda: evaluate(ArchitectureSpec("fc:2,2"), TWO_ONE, 1.0, 1.0), DimensionMismatch),
-    (lambda: evaluate(CONV_4_2_2, TWO_ONE, 1.0, 1.0), DimensionMismatch),
+    (lambda: evaluate(CONV_4_2_2, Spectrum([3.0, 2.0, 1.0]), 1.0, 1.0), DimensionMismatch),
     (lambda: evaluate(CONV_4_2_2, BlockCovariance(CovarianceMatrix(np.eye(3)), 2), 1.0, 1.0),
      DimensionMismatch),
     (lambda: FullyConnected(math.nan, 2), DimensionMismatch),
@@ -583,6 +609,7 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, math.nan, 1), NegativeBudget),
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, math.inf, 1), NegativeBudget),
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, "x", 1), NegativeBudget),
+    (lambda: MultiLayer(3), DimensionMismatch),
 ], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
         "unknown-family", "spectrum-for-conv", "wrong-block-size", "nan-dim", "inf-dim",
         "bool-dim", "float-dim", "string-dim", "float-filters", "float-width",
@@ -591,7 +618,7 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
         "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert",
         "formula-zero-active", "formula-past-bottleneck", "formula-array-past-bottleneck",
         "formula-float-active", "formula-negative-budget", "formula-nan-budget",
-        "formula-inf-budget", "formula-string-budget"])
+        "formula-inf-budget", "formula-string-budget", "int-widths"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(error):
         call()

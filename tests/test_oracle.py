@@ -536,6 +536,8 @@ EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
     (lambda: tile_filter(np.eye(2), 0), DimensionMismatch),
     (lambda: tile_filter(np.eye(2), -1), DimensionMismatch),
     (lambda: tile_filter(np.eye(2), 2.0), DimensionMismatch),
+    (lambda: tile_filter(1.0, 2), DimensionMismatch),
+    (lambda: tile_filter([1.0, 2.0], 2), DimensionMismatch),
     (lambda: ChannelModel(EYE, np.zeros(3), 1.0), ConfigError),
     (lambda: ChannelModel(EYE, np.zeros(2), 1.0, "sigmoid"), ConfigError),
     (lambda: sample_gaussian_inputs(CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]]), 4, 0),
@@ -562,7 +564,8 @@ EYE_COV, FEW_DRAWS = CovarianceMatrix(np.eye(2)), MCConfig(100, 100, seed=0)
         "string-weights", "bool-weights", "exact-bool-noise", "exact-dim-mismatch",
         "entropy-dim-mismatch", "mi-dim-mismatch", "ordering-dim-mismatch",
         "delta-bound-dim-mismatch", "tile-nan-filter", "tile-string-filter", "tile-zero-reps",
-        "tile-negative-reps", "tile-float-reps", "bias-length", "unknown-activation",
+        "tile-negative-reps", "tile-float-reps", "tile-scalar-filter", "tile-vector-filter",
+        "bias-length", "unknown-activation",
         "sampling-indefinite-cov", "ordering-linear-channel", "one-dim-weights",
         "descending-bias-scales", "exact-overflow", "exact-overflow-in-division",
         "ascent-start-overflow", "ascent-overflow", "waterfill-array-budget",

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,31 @@ def water_level(alloc, floors):
 def random_spectrum(rng, size):
     return model_spectrum("explicit", values=np.exp(rng.uniform(
         np.log(1e-3), np.log(1e3), size=size)))
+
+
+class TestBreakpointCapacitySums:
+    """The breakpoint capacities against the exact running sum of their increments,
+    on sets where plain float64 sums drift by 1e-14 on any platform."""
+
+    @staticmethod
+    def worst_relative_error(halved_sums, steps):
+        exact, worst = Fraction(0), 0.0
+        for total, step in zip(halved_sums.tolist(), steps.tolist()):
+            exact += Fraction(step)
+            worst = max(worst, float(abs(2 * Fraction(total) - exact) / exact))
+        return worst
+
+    @pytest.mark.parametrize("values", [
+        model_spectrum("exp_decay", 7098, rate=0.1).values,
+        np.sort(np.exp(np.random.default_rng(7).uniform(np.log(1e-3), np.log(1e3), 20000)))[::-1],
+        model_spectrum("harmonic", 20000).values,
+    ], ids=["exp-0.1-7098", "log-uniform-2e4", "harmonic-2e4"])
+    def test_within_an_ulp_of_the_exact_sum(self, values):
+        gaps = (values[:-1] - values[1:]) / values[1:]
+        assert np.isfinite(gaps).all()  # every increment is the log1p branch
+        steps = np.arange(1, values.size) * np.log1p(gaps)
+        assert self.worst_relative_error(waterfill._capacities(values)[1:], steps) <= 4.5e-16
+        assert self.worst_relative_error(0.5 * np.cumsum(steps), steps) > 4.5e-16
 
 
 class TestBreakpointValue:
