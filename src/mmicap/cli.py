@@ -283,7 +283,17 @@ def _write_gnuplot(script_path: str, rows: list[dict], units: str) -> None:
     data_path = os.path.splitext(script_path)[0] + ".csv"
     if data_path == script_path:
         raise ConfigError(f"--gnuplot {script_path}: the script would overwrite its data")
-    with open(script_path, "w") as script, open(data_path, "w") as data:
+    created = not os.path.lexists(script_path)
+    script = open(script_path, "a")  # emptied only once the data file opens too
+    try:
+        data = open(data_path, "w")
+    except OSError:
+        script.close()
+        if created:
+            os.remove(script_path)
+        raise
+    with script, data:
+        script.truncate(0)
         _emit(rows, {}, "csv", data)
         script.write("set datafile separator ','\n")
         script.write(f"set xlabel 'F'\nset ylabel 'capacity ({units})'\n")

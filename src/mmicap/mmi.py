@@ -16,7 +16,9 @@ and multilayer families reduce to it.  All values are in nats.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,8 @@ class FullyConnected:
 
     def __post_init__(self) -> None:
         for name in ("input_dim", "hidden_dim"):
-            positive(getattr(self, name), name, integer=True, error=DimensionMismatch)
+            object.__setattr__(self, name, positive(getattr(self, name), name, integer=True,
+                                                    error=DimensionMismatch))
 
     @property
     def bottleneck(self) -> int:
@@ -54,7 +57,8 @@ class Convolutional:
 
     def __post_init__(self) -> None:
         for name in ("input_dim", "block_size", "num_filters"):
-            positive(getattr(self, name), name, integer=True, error=DimensionMismatch)
+            object.__setattr__(self, name, positive(getattr(self, name), name, integer=True,
+                                                    error=DimensionMismatch))
         if self.input_dim % self.block_size != 0:
             raise DimensionMismatch(
                 f"block_size {self.block_size} must divide input_dim {self.input_dim}")
@@ -83,7 +87,9 @@ class MultiLayer:
         try:
             widths = tuple(self.widths)
         except TypeError:
-            raise DimensionMismatch(f"widths must be an iterable, got {self.widths!r}") from None
+            widths = None
+        if widths is None or isinstance(self.widths, (str, bytes, bytearray, Mapping)):
+            raise DimensionMismatch(f"widths must be an iterable of integers, got {self.widths!r}")
         widths = tuple(positive(w, f"width_{i + 1}", integer=True, error=DimensionMismatch)
                        for i, w in enumerate(widths))
         if not widths:
@@ -143,20 +149,30 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
     rise = (F - rho_m) / m, both anchors read from the entry held for
     ``(noise_var, n_tilde)``.  The floor s / lambda_m is never formed
     (``_scaled``); past the double range log1p is log(rise) + log(lambda_m) -
-    log(s).  Raises NegativeBudget unless every budget lies in [0, inf)."""
+    log(s), formed only there.  A float budget with an int count is formed in
+    Python floats, bit for bit as an array point; anything else, in arrays.
+    Raises NegativeBudget unless every budget lies in [0, inf)."""
     budget = budgets(budget)
     rho, capacities = _waterfill_state(spectrum, noise_var, n_tilde)
-    m = np.asarray(active_count)
-    if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > rho.size):
-        raise IndexOutOfRange(f"active count {active_count} not an integer in [1, {rho.size}]")
-    eigenvalue = spectrum.values[m - 1]
-    rise = (budget - rho[m - 1]) / m
+    m = active_count
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if type(budget) is float and type(m) is int and 1 <= m <= rho.size:
+            eigenvalue, rise = spectrum.values.item(m - 1), (budget - rho.item(m - 1)) / m
+            ratio = _scaled(rise, eigenvalue, noise_var)
+            grown = float(np.log1p(ratio) if math.isfinite(ratio) else
+                          np.log(rise) + np.log(eigenvalue) - math.log(noise_var))
+            return capacities.item(m - 1) + 0.5 * m * grown
+        m = np.asarray(m)
+        if m.dtype.kind not in "iu" or m.size and (m.min() < 1 or m.max() > rho.size):
+            raise IndexOutOfRange(f"active count {active_count} not an integer in [1, {rho.size}]")
+        eigenvalue = spectrum.values[m - 1]
+        rise = (budget - rho[m - 1]) / m
         ratio = _scaled(rise, eigenvalue, noise_var)
-        grown = np.where(np.isfinite(ratio), np.log1p(ratio),
-                         np.log(rise) + np.log(eigenvalue) - math.log(noise_var))
-    nats = capacities[m - 1] + 0.5 * m * grown
-    return float(nats) if np.ndim(nats) == 0 else nats
+        grown, past = np.log1p(ratio), ~np.isfinite(ratio)
+        if past.any():
+            grown, lam = np.array(grown), np.broadcast_to(eigenvalue, past.shape)
+            grown[past] = np.log(rise[past]) + np.log(lam[past]) - math.log(noise_var)
+    return capacities[m - 1] + 0.5 * m * grown
 
 
 def _reduce(arch: ArchitectureSpec, source) -> tuple[Spectrum, int, int]:
@@ -208,8 +224,8 @@ def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
     if np.any(np.diff(grid) < 0.0):
         raise ConfigError("budget grid must be ascending")
     out = evaluate(arch, source, noise_var, grid)
-    return list(zip(grid.tolist(), map(CurvePoint, out.nats.tolist(), out.regime.tolist(),
-                                       out.active_components.tolist())))
+    return list(zip(grid.tolist(), map(tuple.__new__, repeat(CurvePoint), zip(
+        out.nats.tolist(), out.regime.tolist(), out.active_components.tolist()))))
 
 
 def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,

@@ -195,6 +195,21 @@ class TestCmdCurve:
         assert code == 2 and out == "" and err.startswith("error:")
         assert [p.name for p in tmp_path.iterdir()] == ["plot"]
 
+    @pytest.mark.parametrize("script_before", [None, "kept\n"], ids=["absent", "present"])
+    def test_gnuplot_data_directory_exits_2_and_leaves_the_script(self, tmp_path, capsys,
+                                                                  script_before):
+        (tmp_path / "plot.csv").mkdir()
+        script = tmp_path / "plot.gp"
+        if script_before is not None:
+            script.write_text(script_before)
+        code, out, err = run_cli(["curve", "--arch", "fc:2,2", "--spectrum", "list:2,1",
+                                  "--F-grid", "0:2:5", "--gnuplot", str(script)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
+        if script_before is None:
+            assert not script.exists()
+        else:
+            assert script.read_text() == script_before
+
     def test_grid_required(self, capsys):
         code, _, err = run_cli(["curve", "--arch", "fc:2,2",
                                 "--spectrum", "list:2,1"], capsys)

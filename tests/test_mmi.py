@@ -1,6 +1,9 @@
 """Closed-form capacity: hand values, regime consistency, and identities."""
 
+import gc
+import itertools
 import math
+import sys
 import time
 from decimal import Decimal, localcontext
 
@@ -363,29 +366,35 @@ def counting(monkeypatch, name):
 def families(rng):
     spec = random_spectrum(rng, 12)
     block_values = np.sort(np.exp(rng.uniform(-2.0, 2.0, 6)))[::-1]
+    block = rotated_block(rng, block_values, 4)
     return [
         (ArchitectureSpec(FullyConnected(12, 7)), spec, 7),
-        (ArchitectureSpec(Convolutional(24, 6, 4)), rotated_block(rng, block_values, 4), 4),
+        (ArchitectureSpec(Convolutional(24, 6, 4)), block, 4),
         (ArchitectureSpec(MultiLayer((9, 5, 11))), spec, 5),
+        (ArchitectureSpec(FullyConnected(np.int64(12), np.int32(7))), spec, 7),
+        (ArchitectureSpec(Convolutional(np.int64(24), np.int64(6), np.uint8(4))), block, 4),
     ]
 
 
 class TestArrayEvaluate:
     def test_array_matches_scalar_calls(self):
+        # at noise 1e-300 the budgets 1e300 and 1e308 take the formula's
+        # fallback past the double range, in both branches
         rng = np.random.default_rng(31)
-        for arch, source, n_tilde in families(rng):
-            rho = evaluate(arch, source, 1.0, 0.0).breakpoints
+        for (arch, source, n_tilde), noise_var in itertools.product(families(rng), [1.0, 1e-300]):
+            rho = evaluate(arch, source, noise_var, 0.0).breakpoints
             budgets = np.sort(np.concatenate(
-                ([0.0], rho, rng.uniform(0.0, 2.0 * rho[-1] + 1.0, 20))))
-            together = evaluate(arch, source, 1.0, budgets)
+                ([0.0, 1e300, 1e308], rho, rng.uniform(0.0, 2.0 * rho[-1] + 1.0, 20))))
+            together = evaluate(arch, source, noise_var, budgets)
             assert together.nats.shape == together.regime.shape == budgets.shape
             for i, budget in enumerate(budgets):
-                alone = evaluate(arch, source, 1.0, float(budget))
-                assert together.nats[i] == pytest.approx(alone.nats, rel=1e-12, abs=0.0)
+                alone = evaluate(arch, source, noise_var, float(budget))
+                assert together.nats[i] == alone.nats
                 assert together.regime[i] == alone.regime
                 assert together.active_components[i] == alone.active_components
                 assert alone.regime + alone.active_components == n_tilde
             assert together.nats[0] == 0.0
+            assert np.all(np.isfinite(together.nats))
 
     def test_results_are_immutable(self):
         result = evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, 2.5)
@@ -402,6 +411,34 @@ class TestArrayEvaluate:
                                       1.0, [2.5])
         assert type(budget) is float and type(point.nats) is float
         assert type(point.regime) is int and type(point.active_components) is int
+
+    def test_curve_runs_no_python_call_per_point(self):
+        # a timing-free cost guard: the Python frames a curve enters do not
+        # grow with its length (C-level calls are not counted).  The collector
+        # is held off, since it may finalize some other test's generator.
+        arch = ArchitectureSpec(FullyConnected(100, 50))
+        spec = model_spectrum("exp_decay", 100, rate=0.1)
+        mmi_curve(arch, spec, 1.0, [0.0])  # fills the held water-filling entry
+
+        def python_calls(points):
+            grid, calls = np.linspace(0.0, 500.0, points), []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls.append(frame.f_code)
+
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                mmi_curve(arch, spec, 1.0, grid)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return len(calls)
+
+        counts = [python_calls(points) for points in (40, 400, 4000)]
+        assert counts[0] == counts[1] == counts[2], counts
 
     def test_curve_builds_one_result(self, monkeypatch):
         built = []
@@ -610,6 +647,9 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, math.inf, 1), NegativeBudget),
     (lambda: mmi_formula(TWO_ONE, 1.0, 2, "x", 1), NegativeBudget),
     (lambda: MultiLayer(3), DimensionMismatch),
+    (lambda: MultiLayer("32"), DimensionMismatch),
+    (lambda: MultiLayer(b"\x02\x01"), DimensionMismatch),
+    (lambda: MultiLayer({2: 1}), DimensionMismatch),
 ], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
         "unknown-family", "spectrum-for-conv", "wrong-block-size", "nan-dim", "inf-dim",
         "bool-dim", "float-dim", "string-dim", "float-filters", "float-width",
@@ -618,7 +658,8 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
         "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert",
         "formula-zero-active", "formula-past-bottleneck", "formula-array-past-bottleneck",
         "formula-float-active", "formula-negative-budget", "formula-nan-budget",
-        "formula-inf-budget", "formula-string-budget", "int-widths"])
+        "formula-inf-budget", "formula-string-budget", "int-widths", "string-widths",
+        "bytes-widths", "mapping-widths"])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(error):
         call()
@@ -641,6 +682,13 @@ def test_numpy_scalars_give_the_python_number_results():
     assert evaluate(conv, block, np.float64(0.7), 2.5).nats == evaluate(
         ArchitectureSpec(Convolutional(6, 3, 2)),
         BlockCovariance(CovarianceMatrix(np.diag(spec.values[:3])), 2), 0.7, 2.5).nats
+    for family in (FullyConnected(np.int64(6), np.int64(4)), conv.family):
+        assert all(type(value) is int for value in vars(family).values())
+    fc = ArchitectureSpec(FullyConnected(np.int64(2), np.int64(2)))
+    for architecture, source in ((fc, TWO_ONE), (conv, block), (arch, spec)):
+        result = evaluate(architecture, source, np.float64(0.7), np.float64(2.5))
+        assert type(result.nats) is float
+        assert type(result.regime) is int and type(result.active_components) is int
 
 
 def reference_capacity(values, noise_var, budget):
