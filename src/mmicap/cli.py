@@ -25,8 +25,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, MmicapError, NumericalOverflow, finite, positive
-from .mmi import (ArchitectureSpec, Convolutional, FullyConnected, MultiLayer, evaluate,
-                  mmi_curve)
+from .mmi import Convolutional, FullyConnected, MultiLayer, evaluate, mmi_curve
 from .spectrum import SPECTRUM_KINDS, decompose_covariance, load_covariance_csv, model_spectrum
 from .verify import run_verification
 
@@ -175,25 +174,24 @@ def _run_doc(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _build_arch(doc) -> ArchitectureSpec:
+def _build_arch(doc) -> FullyConnected | Convolutional | MultiLayer:
     doc = _check(doc, "architecture (--arch)", dict)
     family = _check(doc.get("family"), "architecture.family", ("fc", "conv", "mlp"))
     if family == "mlp":
         widths = _check(doc.get("widths"), "architecture.widths", [int])
-        return ArchitectureSpec(MultiLayer(tuple(widths)))
+        return MultiLayer(tuple(widths))
     dims = [_check(doc.get(key), f"architecture.{key}", int) for key in ARCH_DIMS[family]]
     kind = FullyConnected if family == "fc" else Convolutional
-    return ArchitectureSpec(kind(*dims))
+    return kind(*dims)
 
 
-def _build_source(doc, arch: ArchitectureSpec):
-    """The Spectrum the architecture reads: of its inputs for fc, of one block for
+def _build_source(doc, family):
+    """The Spectrum the family reads: of its inputs for fc, of one block for
     conv, of any length for mlp.  A covariance CSV is decomposed to its spectrum."""
     doc = _check(doc, "spectrum (--spectrum)", dict)
     if "covariance_csv" in doc:
         cov = load_covariance_csv(_check(doc["covariance_csv"], "spectrum.covariance_csv", str))
         return decompose_covariance(cov).spectrum
-    family = arch.family
     kind = _check(doc.get("kind"), "spectrum.kind", SPECTRUM_KINDS)
     n = _check(doc.get("n"), "spectrum.n", int, required=False)
     if n is None and kind != "explicit":

@@ -100,12 +100,10 @@ class MultiLayer:
         return min(input_dim, *self.widths)
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
-    """An architecture family.  Relu and bijective activations have the
-    capacity of the linear network, so the closed form reads nothing else."""
-
-    family: FullyConnected | Convolutional | MultiLayer
+def ArchitectureSpec(family):
+    """``family``, unchanged.  The closed form takes the family itself; this name
+    stays only because the benchmark and existing callers still wrap families in it."""
+    return family
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +173,10 @@ def mmi_formula(spectrum: Spectrum, noise_var: float, n_tilde: int, budget,
     return capacities[m - 1] + 0.5 * m * grown
 
 
-def _reduce(arch: ArchitectureSpec, source) -> tuple[Spectrum, int, int]:
+def _reduce(family, source) -> tuple[Spectrum, int, int]:
     """Spectrum, bottleneck and repetition count the closed form reads.  ``source``
     is a Spectrum: of the inputs for fc, of one block for conv (or a BlockCovariance,
     whose block is decomposed here), of any length for mlp."""
-    family = arch.family
     if not isinstance(family, (FullyConnected, Convolutional, MultiLayer)):
         raise DimensionMismatch(f"unknown architecture family {family!r}")
     conv = isinstance(family, Convolutional)
@@ -200,8 +197,10 @@ def _reduce(arch: ArchitectureSpec, source) -> tuple[Spectrum, int, int]:
     return source, family.bottleneck, family.repetitions if conv else 1
 
 
-def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiResult:
-    """Capacity of any architecture family at one budget or a 1-D array of them.
+def evaluate(arch, source, noise_var: float, budget) -> MmiResult:
+    """Capacity of ``arch``, a FullyConnected, Convolutional or MultiLayer family, at
+    one budget or a 1-D array of them.  Relu and bijective activations have the
+    linear capacity, so the family is all the closed form reads of a network.
 
     A convolutional capacity is repetitions times the dense capacity of one
     block: the budget is shared by the single filter, not divided across
@@ -215,21 +214,19 @@ def evaluate(arch: ArchitectureSpec, source, noise_var: float, budget) -> MmiRes
     return MmiResult(nats, excluded, rho, active)
 
 
-def mmi_curve(arch: ArchitectureSpec, source, noise_var: float,
-              budget_grid) -> list[tuple[float, CurvePoint]]:
+def mmi_curve(arch, source, noise_var: float, budget_grid) -> list[tuple[float, CurvePoint]]:
     """``(budget, CurvePoint)`` pairs along an ascending grid, from one ``evaluate``."""
-    grid = budgets(budget_grid)
-    if np.ndim(grid) != 1 or grid.size == 0:
+    out = evaluate(arch, source, noise_var, budget_grid)
+    grid = np.asarray(budget_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
         raise DimensionMismatch("budget grid must be a non-empty 1-D sequence")
     if np.any(np.diff(grid) < 0.0):
         raise ConfigError("budget grid must be ascending")
-    out = evaluate(arch, source, noise_var, grid)
     return list(zip(grid.tolist(), map(tuple.__new__, repeat(CurvePoint), zip(
         out.nats.tolist(), out.regime.tolist(), out.active_components.tolist()))))
 
 
-def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
-               target_nats: float) -> float:
+def invert_mmi(arch, source, noise_var: float, target_nats: float) -> float:
     """Budget at which the capacity reaches ``target_nats``, in closed form.
 
     Every family is r times a dense capacity, inverted here at target / r.
@@ -248,7 +245,7 @@ def invert_mmi(arch: ArchitectureSpec, source, noise_var: float,
     rho = float(rho[m - 1])
     if rho == math.inf:
         raise NumericalOverflow(f"the budget for {target_nats} nats passes the double range")
-    dense = ArchitectureSpec(FullyConnected(len(spectrum), n_tilde))
+    dense = FullyConnected(len(spectrum), n_tilde)
     grown = 2.0 * (target - evaluate(dense, spectrum, noise_var, rho).nats) / m
     eigenvalue = float(spectrum.values[m - 1])
     with np.errstate(over="ignore"):  # an overflow is caught below as an infinite budget

@@ -180,12 +180,15 @@ def model_spectrum(kind: str, n: int | None = None, *, rate: float | None = None
         n = positive(n, "spectrum length n", integer=True)
     if kind == "exp_decay":
         rate = positive(rate, "exp_decay spectrum rate")
-        return Spectrum(np.exp(-rate * np.arange(n, dtype=np.float64)))
+        with np.errstate(over="ignore"):  # -inf exponents give 0, which Spectrum rejects
+            return Spectrum(np.exp(-rate * np.arange(n, dtype=np.float64)))
     if kind == "harmonic":
         return Spectrum(1.0 / np.arange(1, n + 1, dtype=np.float64))
     if values is None:
         raise ConfigError("explicit spectrum requires values")
     arr = finite(values, "explicit spectrum values")
+    if np.ndim(arr) != 1:
+        raise DimensionMismatch(f"explicit spectrum values must be 1-D, got {np.ndim(arr)}-D")
     if n is not None and n != arr.size:
         raise ConfigError(f"explicit spectrum has {arr.size} values, n={n}")
     return Spectrum(np.sort(arr)[::-1])

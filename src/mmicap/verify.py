@@ -25,7 +25,7 @@ from .mc import (
     relu_channel,
     verify_entropy_ordering,
 )
-from .mmi import ArchitectureSpec, FullyConnected, evaluate, mmi_formula
+from .mmi import FullyConnected, evaluate, mmi_formula
 from .oracle import (
     OptimizerConfig,
     WeightMatrix,
@@ -96,7 +96,7 @@ def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,
         raise ConfigError("bias_scales must be non-empty and ascending")
     decomposition = decompose_covariance(cov)
     weights = build_optimal_weights(budget, decomposition, noise_var, hidden_dim)
-    closed = evaluate(ArchitectureSpec(FullyConnected(cov.dim, hidden_dim)),
+    closed = evaluate(FullyConnected(cov.dim, hidden_dim),
                       decomposition.spectrum, noise_var, budget).nats
     rows = []
     for scale, row_seed in zip(scales, np.random.SeedSequence(mc.seed).spawn(len(scales))):
@@ -152,7 +152,7 @@ def _check_achievability(seed: int, mmi_offset: float, instances: int = 40) -> d
         bp = breakpoints(spectrum, noise_var, n_tilde)
         budgets = list(bp) + list(0.5 * (bp[:-1] + bp[1:])) + [bp[-1] * 1.5 + 1.0]
         for budget in budgets:
-            closed = evaluate(ArchitectureSpec(FullyConnected(input_dim, hidden_dim)),
+            closed = evaluate(FullyConnected(input_dim, hidden_dim),
                               spectrum, noise_var, budget).nats + mmi_offset
             achieved = exact_linear_mi(
                 build_optimal_weights(budget, decomposition, noise_var, hidden_dim),
@@ -171,7 +171,7 @@ def _check_optimizer(seed: int, instances: int = 3) -> dict:
         cov = _random_covariance(rng, 3)
         spectrum = decompose_covariance(cov).spectrum
         budget = float(rng.uniform(0.5, 4.0))
-        closed = evaluate(ArchitectureSpec(FullyConnected(3, 2)), spectrum, 1.0, budget).nats
+        closed = evaluate(FullyConnected(3, 2), spectrum, 1.0, budget).nats
         result = maximize_mi(budget, cov, 1.0, 2,
                              OptimizerConfig(seed=seed * 31 + i, restarts=3))
         worst = np.maximum(worst, closed - result.nats)  # a NaN gap stays NaN

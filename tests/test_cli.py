@@ -663,6 +663,16 @@ class TestInputErrors:
         else:
             assert out == "" and err.startswith("error:") and text in err
 
+    def test_rate_past_the_double_range_prints_one_error_line(self):
+        # -rate * i overflows to -inf: the zero eigenvalue is reported, with no
+        # numpy warning before it
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmicap.cli", "curve", "--arch", "fc:3,3",
+             "--spectrum", "exp:1e308", "--F-grid", "0:1:2"], capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: eigenvalue 2 of 3 is 0")
+
     @pytest.mark.parametrize("source", ["csv", "config"])
     def test_conv_block_of_the_wrong_size_exits_2(self, tmp_path, capsys, source):
         csv_path = tmp_path / "cov.csv"
@@ -708,6 +718,7 @@ ARCH_TEXT = st.sampled_from(["fc:2,2", "fc:3,2", "fc:2", "fc:0,2", "fc:a,2", "co
                              "mlp:1000000000000,2"])
 SPECTRUM_TEXT = st.sampled_from(["list:2,1", "list:3,2,1", "list:1,1e-310", "list:nan,1",
                                  "list:0,1", "list:", "exp:0.5", "exp:nan", "exp:-1", "exp:",
+                                 "exp:1e308",
                                  "harmonic", "file:{dir}/spec.json", "file:{dir}/cov.csv",
                                  "file:/nonexistent.csv", "bogus:1"])
 MODEL_FLAGS = st.one_of(

@@ -1,11 +1,13 @@
 """Closed-form capacity: hand values, regime consistency, and identities."""
 
+import ast
 import gc
 import itertools
 import math
 import sys
 import time
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +347,37 @@ class TestArchitectureSpec:
         assert MultiLayer((50, 3, 50)).bottleneck(100) == 3
         assert MultiLayer(iter([2, 1])).widths == MultiLayer([2, 1]).widths == (2, 1)
 
+    @pytest.mark.parametrize("family", [FullyConnected(2, 2), Convolutional(4, 2, 2),
+                                        MultiLayer((3, 2))], ids=["fc", "conv", "mlp"])
+    def test_wrapping_returns_the_family(self, family):
+        assert ArchitectureSpec(family) is family
+
+    @pytest.mark.parametrize("family, source, nats", [
+        (FullyConnected(2, 2), TWO_ONE, 1.039720771),
+        (Convolutional(4, 2, 2), TWO_ONE, 2.079441542),
+        (Convolutional(4, 2, 2), BlockCovariance(CovarianceMatrix(np.diag([2.0, 1.0])), 2),
+         2.079441542),
+        (MultiLayer((3, 2)), TWO_ONE, 1.039720771),
+    ], ids=["fc", "conv-spectrum", "conv-block", "mlp"])
+    def test_the_closed_form_takes_the_bare_family(self, family, source, nats):
+        # the README values at budget 2.5, through all three entry points
+        value = evaluate(family, source, 1.0, 2.5).nats
+        assert round(value, 9) == nats
+        assert evaluate(arch=family, source=source, noise_var=1.0, budget=2.5).nats == value
+        (_, start), (budget, point) = mmi_curve(family, source, 1.0, [0.0, 2.5])
+        assert start.nats == 0.0 and budget == 2.5 and point.nats == value
+        assert invert_mmi(family, source, 1.0, value) == pytest.approx(2.5, rel=1e-12)
+
+    def test_no_module_wraps_or_unwraps_a_family(self):
+        for path in sorted(Path(mmicap.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    called = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                        getattr(node.func, "id", None)
+                    assert called != "ArchitectureSpec", (path.name, node.lineno)
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "family", (path.name, node.lineno)
+
 
 def rotated_block(rng, values, repetitions):
     q, _ = np.linalg.qr(rng.standard_normal((values.size, values.size)))
@@ -682,7 +715,7 @@ def test_numpy_scalars_give_the_python_number_results():
     assert evaluate(conv, block, np.float64(0.7), 2.5).nats == evaluate(
         ArchitectureSpec(Convolutional(6, 3, 2)),
         BlockCovariance(CovarianceMatrix(np.diag(spec.values[:3])), 2), 0.7, 2.5).nats
-    for family in (FullyConnected(np.int64(6), np.int64(4)), conv.family):
+    for family in (FullyConnected(np.int64(6), np.int64(4)), conv):
         assert all(type(value) is int for value in vars(family).values())
     fc = ArchitectureSpec(FullyConnected(np.int64(2), np.int64(2)))
     for architecture, source in ((fc, TWO_ONE), (conv, block), (arch, spec)):

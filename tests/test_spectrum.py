@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,24 @@ def run_json_spectrum(directory, capsys, text, arch):
 def test_rejects_malformed_input(tmp_path, call, error):
     with pytest.raises(error):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("values, n", [(2.0, None), (2.0, 1), (np.float64(2.0), None),
+                                       ([[2.0, 1.0]], None), ([[2.0, 1.0]], 2)],
+                         ids=["number", "number-with-n", "numpy-number", "matrix",
+                              "matrix-with-n"])
+def test_explicit_values_must_be_one_dimensional(values, n):
+    # the type Spectrum(2.0) raises, not a numpy error from sorting
+    with pytest.raises(DimensionMismatch, match="1-D"):
+        model_spectrum("explicit", n, values=values)
+
+
+def test_exp_decay_rate_past_the_double_range_warns_nothing():
+    # -rate * i overflows to -inf from i = 1 on, and exp gives the zero eigenvalue
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveEigenvalue, match="eigenvalue 2 of 3 is 0"):
+            model_spectrum("exp_decay", 3, rate=1e308)
 
 
 @pytest.mark.parametrize("doc", [
