@@ -77,20 +77,21 @@ def positive(value, name: str, *, integer: bool = False, least: int = 1,
     return number
 
 
-def real(value, name: str) -> np.ndarray:
+def real(value, name: str, *, error: type[MmicapError] = ConfigError) -> np.ndarray:
     """``value``, a number or an array or sequence of them, as a float64 array;
-    raises ``ConfigError`` unless each is a real number.  A numeric array is
-    taken by its dtype, with no per-element test."""
-    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-    ok = arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat)
-    try:
+    raises ``error`` unless each is a real number.  A numpy array or scalar is
+    taken by its dtype, and an object array by its distinct element types."""
+    try:  # ValueError: a ragged nest of arrays; OverflowError: an int past the doubles
+        arr = (np.asarray(value) if isinstance(value, (np.ndarray, np.generic))
+               else np.array(value, dtype=object))
+        ok = arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(
+            issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat)))
         arr = arr.astype(np.float64, copy=False) if ok else arr
-    except OverflowError:  # a Python int past the doubles
+    except (ValueError, OverflowError):
         ok = False
     if not ok:
-        got = f", got {value!r}" if arr.ndim == 0 else ""  # an array may be large
-        raise ConfigError(f"{name} must be real{got}")
+        got = f", got {value!r}" if np.isscalar(value) else ""  # an array may be large
+        raise error(f"{name} must be real{got}")
     return arr
 
 
@@ -105,19 +106,16 @@ def finite(value, name: str):
 
 
 def budgets(value):
-    """``value``, one budget or an array of them, as a float or a float64
-    array; raises ``NegativeBudget`` unless each is a number in [0, inf).
-    A Python float in range passes on one comparison; all else goes through numpy."""
+    """``value``, one budget or an array or sequence of them, as a float or a
+    float64 array; raises ``NegativeBudget`` unless each is a real number, as
+    ``real`` reads it, in [0, inf): a bool, also inside a list, is not a budget.
+    A Python float in range passes on one comparison."""
     if type(value) is float and 0.0 <= value < np.inf:
         return value
-    try:
-        arr = np.asarray(value)
-        ok = arr.dtype.kind in "iuf" and np.all((0.0 <= arr) & (arr < np.inf))
-    except ValueError:  # a ragged sequence
-        ok = False
-    if not ok:
+    arr = real(value, "budget", error=NegativeBudget)
+    if not np.all((0.0 <= arr) & (arr < np.inf)):
         raise NegativeBudget(f"budget must be non-negative and finite, got {value!r}")
-    return float(arr) if arr.ndim == 0 else arr.astype(np.float64, copy=False)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def fits(weights, cov) -> None:

@@ -204,10 +204,10 @@ def evaluate(arch, source, noise_var: float, budget) -> MmiResult:
 
     A convolutional capacity is repetitions times the dense capacity of one
     block: the budget is shared by the single filter, not divided across
-    blocks.  The breakpoints are computed once for all budgets.
+    blocks.  The budgets are read and the breakpoints computed once for all.
     """
     spectrum, n_tilde, repetitions = _reduce(arch, source)
-    rho = breakpoints(spectrum, noise_var, n_tilde)
+    rho, budget = breakpoints(spectrum, noise_var, n_tilde), budgets(budget)
     excluded = regime(budget, rho)
     active = n_tilde - excluded
     nats = repetitions * mmi_formula(spectrum, noise_var, n_tilde, budget, active)

@@ -129,9 +129,8 @@ def verify_relu_theorem(budget: float, cov: CovarianceMatrix, noise_var: float,
     }
 
 
-def _random_covariance(rng: np.random.Generator, dim: int,
-                       log_range=(-1.5, 1.5)) -> CovarianceMatrix:
-    eigvals = np.sort(np.exp(rng.uniform(*log_range, size=dim)))[::-1]
+def _random_covariance(rng: np.random.Generator, dim: int) -> CovarianceMatrix:
+    eigvals = np.sort(np.exp(rng.uniform(-1.5, 1.5, size=dim)))[::-1]
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return CovarianceMatrix(basis @ np.diag(eigvals) @ basis.T)
 

@@ -623,6 +623,13 @@ class TestClosedFormInversion:
 
 
 CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
+COV_2_1 = CovarianceMatrix(np.diag([2.0, 1.0]))
+# only conv reduces a BlockCovariance, and no family takes a CovarianceMatrix
+NON_SPECTRUM_SOURCES = {"fc-covariance": (FullyConnected(2, 2), COV_2_1),
+                        "fc-block": (FullyConnected(2, 2), BlockCovariance(COV_2_1, 1)),
+                        "mlp-block": (MultiLayer((2,)), BlockCovariance(COV_2_1, 1))}
+SOURCE_CALLS = {"evaluate": (evaluate, 1.0), "curve": (mmi_curve, [0.5, 1.0]),
+                "invert": (invert_mmi, 0.1)}
 
 
 @pytest.mark.parametrize("call, error", [
@@ -661,6 +668,8 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
      NegativeBudget),
     (lambda: evaluate(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, [[1.0], [1.0, 2.0]]),
      NegativeBudget),
+    (lambda: evaluate(FullyConnected(2, 2), TWO_ONE, 1.0, [np.ones((2, 2)), np.ones((2, 3))]),
+     NegativeBudget),
     (lambda: mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, ["0", "1"]),
      NegativeBudget),
     (lambda: mmi_curve(ArchitectureSpec(FullyConnected(2, 2)), TWO_ONE, 1.0, [1.0, 0.5]),
@@ -683,16 +692,29 @@ CONV_4_2_2 = ArchitectureSpec(Convolutional(4, 2, 2))
     (lambda: MultiLayer("32"), DimensionMismatch),
     (lambda: MultiLayer(b"\x02\x01"), DimensionMismatch),
     (lambda: MultiLayer({2: 1}), DimensionMismatch),
+    (lambda: evaluate(FullyConnected(2, 2), TWO_ONE, 1.0, [True, 0.5]), NegativeBudget),
+    (lambda: evaluate(FullyConnected(2, 2), TWO_ONE, 1.0, [0.5, np.True_]), NegativeBudget),
+    (lambda: mmi_curve(FullyConnected(2, 2), TWO_ONE, 1.0, [True, 0.5]), NegativeBudget),
+    (lambda: mmi_curve(FullyConnected(2, 2), TWO_ONE, 1.0, [0.5, np.True_]), NegativeBudget),
+    (lambda: waterfill.regime([True, 0.5], breakpoints(TWO_ONE, 1.0, 2)), NegativeBudget),
+    (lambda: waterfill.regime([0.5, np.True_], breakpoints(TWO_ONE, 1.0, 2)), NegativeBudget),
+    *[(lambda call=call, arch=arch, source=source, arg=arg: call(arch, source, 1.0, arg),
+       DimensionMismatch) for arch, source in NON_SPECTRUM_SOURCES.values()
+      for call, arg in SOURCE_CALLS.values()],
 ], ids=["empty-widths", "empty-grid", "2d-grid", "zero-target", "negative-target",
         "unknown-family", "spectrum-for-conv", "wrong-block-size", "nan-dim", "inf-dim",
         "bool-dim", "float-dim", "string-dim", "float-filters", "float-width",
         "bool-noise-params", "negative-budget-params", "nan-noise", "string-noise",
         "bool-noise-held", "string-budget", "bool-budget", "ragged-budgets",
-        "string-grid", "descending-grid", "nan-target", "string-target", "inf-noise-invert",
+        "ragged-array-budgets", "string-grid", "descending-grid", "nan-target", "string-target",
+        "inf-noise-invert",
         "formula-zero-active", "formula-past-bottleneck", "formula-array-past-bottleneck",
         "formula-float-active", "formula-negative-budget", "formula-nan-budget",
         "formula-inf-budget", "formula-string-budget", "int-widths", "string-widths",
-        "bytes-widths", "mapping-widths"])
+        "bytes-widths", "mapping-widths", "bool-in-budgets", "numpy-bool-in-budgets",
+        "bool-in-grid", "numpy-bool-in-grid", "bool-in-regime-budgets",
+        "numpy-bool-in-regime-budgets",
+        *[f"{call}-{source}" for source in NON_SPECTRUM_SOURCES for call in SOURCE_CALLS]])
 def test_rejects_malformed_input(call, error):
     with pytest.raises(error):
         call()

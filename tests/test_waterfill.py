@@ -1,6 +1,8 @@
 """Water-filling: breakpoints, regime lookup, and the allocation solver."""
 
 import ast
+import math
+import numbers
 import sys
 import threading
 import tracemalloc
@@ -224,7 +226,7 @@ class TestScalarBudgetCheck:
 
     @pytest.mark.parametrize("value", [
         0.0, -0.0, 5e-324, 1e308, float("nan"), float("inf"), -1.0, True,
-        np.float64(2.0), 3, "1"])
+        np.float64(2.0), 3, "1", np.float32(2.5), np.True_, Fraction(1, 2), 10**20])
     def test_matches_the_array_path(self, value):
         fast, slow = self.checked(value), self.checked(np.array(value))
         if slow is NegativeBudget:
@@ -243,6 +245,54 @@ class TestScalarBudgetCheck:
         assert type(numpy.nats) is float and float_bits(python.nats) == float_bits(numpy.nats)
         assert (python.regime, python.active_components) == (numpy.regime,
                                                             numpy.active_components)
+
+    @pytest.mark.parametrize("value", [10**20, [1, 2**70], Fraction(1, 2), [Fraction(1, 2)]])
+    def test_exact_reals_read_as_their_doubles(self, value):
+        # a budget is any real in [0, inf), not only a float: an int past int64
+        # or a Fraction gives what its nearest double gives, bit for bit
+        scalar = np.ndim(value) == 0
+        double = np.float64(value) if scalar else np.array(value, dtype=np.float64)
+        exact, rounded = budgets(value), budgets(double)
+        assert type(exact) is type(rounded) and float_bits(exact) == float_bits(rounded)
+        spec, arch = model_spectrum("exp_decay", 6, rate=0.4), FullyConnected(6, 4)
+        exact, rounded = (evaluate(arch, spec, 0.7, f) for f in (value, double))
+        for field in ("nats", "regime", "active_components"):
+            assert (np.asarray(getattr(exact, field)).tobytes()
+                    == np.asarray(getattr(rounded, field)).tobytes())
+        if scalar:
+            exact, rounded = (solve_waterfill(f, spec, 0.7, 4) for f in (value, double))
+            assert exact.tobytes() == rounded.tobytes()
+        else:
+            exact, rounded = (np.array([(f, *point) for f, point in mmi_curve(arch, spec, 0.7, v)])
+                              for v in (value, double))
+            assert exact.tobytes() == rounded.tobytes()
+
+    ELEMENTS = st.one_of(
+        st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, -1.0]),
+        st.integers(-2**1100, 2**1100), st.sampled_from([2**1023, 2**1024, 2**1100, 10**20]),
+        st.fractions(), st.booleans(), st.sampled_from([np.True_, np.False_]),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+        st.floats(width=32).map(np.float32), st.text(max_size=2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ELEMENTS, max_size=5))
+    def test_accepts_exactly_the_nonnegative_reals(self, xs):
+        def double(v):  # v as a float in [0, inf), or None
+            if not isinstance(v, numbers.Real) or isinstance(v, (bool, np.bool_)):
+                return None
+            try:
+                f = float(v)
+            except OverflowError:
+                return None
+            return f if 0.0 <= f < math.inf else None
+
+        doubles = [double(v) for v in xs]
+        if None in doubles:
+            with pytest.raises(NegativeBudget):
+                budgets(xs)
+        else:
+            out = budgets(xs)
+            assert out.dtype == np.float64 and out.tobytes() == np.array(doubles).tobytes()
 
 
 class TestFloorOverflow:
